@@ -127,3 +127,16 @@ func IsBCNF(t *relation.Table) (bool, []FD) {
 	}
 	return len(violations) == 0, violations
 }
+
+// dedupeSets removes repeated sets in place, keeping first occurrences.
+func dedupeSets(sets []relation.AttrSet) []relation.AttrSet {
+	seen := make(map[relation.AttrSet]bool, len(sets))
+	out := sets[:0]
+	for _, s := range sets {
+		if !seen[s] {
+			seen[s] = true
+			out = append(out, s)
+		}
+	}
+	return out
+}

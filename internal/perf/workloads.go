@@ -419,11 +419,9 @@ func storeRecoverWorkload(name string, baseRows int, heavy bool, desc string) Wo
 						return err
 					}
 					defer s2.Close()
-					state := l.Updater
-					if l.Lazy {
-						if state, err = s2.LoadState(ctx, l.ID); err != nil {
-							return err
-						}
+					state, err := s2.LoadState(ctx, l.ID)
+					if err != nil {
+						return err
 					}
 					upd, err := core.RestoreUpdater(l.Config, state)
 					if err != nil {
@@ -465,9 +463,6 @@ func storeBootIndexWorkload(name string, baseRows int, heavy bool, desc string) 
 						return err
 					}
 					defer s2.Close()
-					if !l.Lazy || l.Stats == nil {
-						return fmt.Errorf("boot-index: expected a lazy chunked load, got lazy=%v stats=%v", l.Lazy, l.Stats != nil)
-					}
 					if l.Stats.Rows <= 0 {
 						return fmt.Errorf("boot-index: index stats empty")
 					}

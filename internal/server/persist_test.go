@@ -257,19 +257,14 @@ func TestRegistryAddRetriesOnCollision(t *testing.T) {
 	}
 }
 
-// TestRegistryRestoreRejectsDuplicate: recovery must not let two store
-// entries share an id.
-func TestRegistryRestoreRejectsDuplicate(t *testing.T) {
-	tbl := relation.MustFromRows(relation.MustSchema("A"), [][]string{{"x"}, {"x"}})
-	u, _, err := core.NewUpdater(context.Background(), core.DefaultConfig(crypt.KeyFromSeed("dup")), tbl)
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestRegistryRestoreLazyRejectsDuplicate: recovery must not let two
+// store entries share an id.
+func TestRegistryRestoreLazyRejectsDuplicate(t *testing.T) {
 	reg := NewRegistry()
-	if _, err := reg.Restore("ds_one", "a", time.Now(), core.Config{}, u); err != nil {
+	if _, err := reg.RestoreLazy("ds_one", "a", time.Now(), core.Config{}, Summary{}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reg.Restore("ds_one", "b", time.Now(), core.Config{}, u); err == nil {
+	if _, err := reg.RestoreLazy("ds_one", "b", time.Now(), core.Config{}, Summary{}, nil); err == nil {
 		t.Fatal("duplicate restore accepted")
 	}
 }
@@ -453,115 +448,6 @@ func TestLazyBootHydratesOnDemand(t *testing.T) {
 	}
 }
 
-// TestLegacySnapshotUpgradeOnBoot: a v1 monolithic snapshot boots
-// (eagerly), is rewritten in the chunked format during recovery, and the
-// next boot loads it lazily.
-func TestLegacySnapshotUpgradeOnBoot(t *testing.T) {
-	dir := t.TempDir()
-	_, ts := newDurableServer(t, dir, 1)
-	rows := [][]string{{"a1", "b1"}, {"a1", "b2"}, {"a2", "b3"}, {"a2", "b4"}}
-	id := createDataset(t, ts.URL, []string{"A", "B"}, rows)
-
-	// Downgrade the on-disk snapshot to the v1 monolithic shape: hydrate
-	// the state through the store API, then write the v1 JSON reusing the
-	// sealed key and config straight out of the v2 index, and drop the
-	// chunk directory so only the monolithic file remains.
-	snapPath := filepath.Join(dir, "datasets", id, "snapshot.json")
-	raw, err := os.ReadFile(snapPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var idx struct {
-		Version int             `json:"version"`
-		Name    string          `json:"name"`
-		Created time.Time       `json:"created"`
-		KeyEnc  string          `json:"keyEnc"`
-		Config  json.RawMessage `json:"config"`
-		WALSeq  uint64          `json:"walSeq"`
-	}
-	if err := json.Unmarshal(raw, &idx); err != nil {
-		t.Fatal(err)
-	}
-	if idx.Version != 2 {
-		t.Fatalf("fresh snapshot has version %d, want 2", idx.Version)
-	}
-	st, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	state, err := st.LoadState(context.Background(), id)
-	st.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1, err := json.Marshal(map[string]any{
-		"version": 1, "id": id, "name": idx.Name, "created": idx.Created,
-		"keyEnc": idx.KeyEnc, "config": idx.Config, "walSeq": idx.WALSeq,
-		"updater": state,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(snapPath, v1, 0o600); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.RemoveAll(filepath.Join(dir, "datasets", id, "chunks")); err != nil {
-		t.Fatal(err)
-	}
-
-	// Boot over the downgraded directory: the v1 snapshot restores
-	// eagerly and recovery upgrades it in place.
-	srv2, ts2 := newDurableServer(t, dir, 1)
-	ds, ok := srv2.reg.Get(id)
-	if !ok {
-		t.Fatal("legacy dataset not recovered")
-	}
-	ds.Lock()
-	eager := ds.upd != nil
-	ds.Unlock()
-	if !eager {
-		t.Fatal("legacy dataset restored lazily — v1 has no index to defer to")
-	}
-	raw2, err := os.ReadFile(snapPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ver struct {
-		Version int `json:"version"`
-	}
-	if err := json.Unmarshal(raw2, &ver); err != nil {
-		t.Fatal(err)
-	}
-	if ver.Version != 2 {
-		t.Fatalf("legacy snapshot not upgraded: version %d on disk after boot", ver.Version)
-	}
-	chunks, err := os.ReadDir(filepath.Join(dir, "datasets", id, "chunks"))
-	if err != nil || len(chunks) == 0 {
-		t.Fatalf("upgraded snapshot has no chunks (err %v)", err)
-	}
-
-	columns, decRows, pending := decryptRows(t, ts2.URL, id)
-	if pending != 0 {
-		t.Fatalf("pending = %d after upgrade", pending)
-	}
-	if !reflect.DeepEqual(sortedRows(t, columns, decRows), sortedRows(t, []string{"A", "B"}, rows)) {
-		t.Fatal("upgraded dataset decrypts to different rows")
-	}
-
-	// The upgraded snapshot loads lazily on the next boot.
-	srv3, _ := newDurableServer(t, dir, 1)
-	ds3, ok := srv3.reg.Get(id)
-	if !ok {
-		t.Fatal("dataset lost after upgrade")
-	}
-	ds3.Lock()
-	lazy := ds3.upd == nil
-	ds3.Unlock()
-	if !lazy {
-		t.Fatal("upgraded snapshot did not boot lazily")
-	}
-}
-
 // metricValue extracts one un-labeled metric's value from a /metrics
 // rendering.
 func metricValue(t *testing.T, body, name string) float64 {
@@ -638,13 +524,17 @@ func TestSnapshotMetricsExposeDedup(t *testing.T) {
 }
 
 // TestRecoverySkipsCorruptDataset: one rotten snapshot must not take
-// down the service or the healthy datasets next to it.
+// down the service or the healthy datasets next to it. Two unrecoverable
+// inputs sit beside a healthy dataset: a truncated index, and a snapshot
+// in the retired v1 monolithic format (the full updater state inline).
+// Both are skipped with a log line — the v1 one naming its version — and
+// both directories are left byte for byte as they were.
 func TestRecoverySkipsCorruptDataset(t *testing.T) {
 	dir := t.TempDir()
 	_, ts := newDurableServer(t, dir, 1)
-	goodID := createDataset(t, ts.URL, []string{"A", "B"}, [][]string{
-		{"a1", "b1"}, {"a1", "b1"}, {"a2", "b2"},
-	})
+	goodRows := [][]string{{"a1", "b1"}, {"a1", "b1"}, {"a2", "b2"}}
+	goodID := createDataset(t, ts.URL, []string{"A", "B"}, goodRows)
+
 	badDir := filepath.Join(dir, "datasets", "ds_corrupt00000")
 	if err := os.MkdirAll(badDir, 0o700); err != nil {
 		t.Fatal(err)
@@ -653,16 +543,92 @@ func TestRecoverySkipsCorruptDataset(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv2, ts2 := newDurableServer(t, dir, 1)
+	// A v1 snapshot as older builds wrote it, built from the healthy
+	// dataset's own state and sealed key, beside an unflushed WAL.
+	const v1ID = "ds_v1snapshot00"
+	v1Dir := filepath.Join(dir, "datasets", v1ID)
+	if err := os.MkdirAll(v1Dir, 0o700); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, "datasets", goodID, "snapshot.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var idx struct {
+		Name    string          `json:"name"`
+		Created time.Time       `json:"created"`
+		KeyEnc  string          `json:"keyEnc"`
+		Config  json.RawMessage `json:"config"`
+	}
+	if err := json.Unmarshal(raw, &idx); err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	state, err := st.LoadState(context.Background(), goodID)
+	st.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1, err := json.Marshal(map[string]any{
+		"version": 1, "id": v1ID, "name": idx.Name, "created": idx.Created,
+		"keyEnc": idx.KeyEnc, "config": idx.Config, "walSeq": 0, "updater": state,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(v1Dir, "snapshot.json"), v1, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(v1Dir, "wal.log"), []byte("journaled batches"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	before := map[string]map[string]string{badDir: treeBytes(t, badDir), v1Dir: treeBytes(t, v1Dir)}
+
+	srv2, ts2, logs := newFlightServer(t, dir, nil)
 	if srv2.reg.Len() != 1 {
 		t.Fatalf("recovered %d datasets, want 1 (the healthy one)", srv2.reg.Len())
 	}
-	resp, _ := doJSON(t, http.MethodGet, ts2.URL+"/v1/datasets/"+goodID, nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("healthy dataset lost: status %d", resp.StatusCode)
+	if !strings.Contains(logs.String(), v1ID+": store: snapshot format version 1") {
+		t.Fatalf("skip of the v1 dataset does not name its version; logs:\n%s", logs.String())
 	}
-	// The corrupt directory is left on disk for inspection, not deleted.
-	if _, err := os.Stat(badDir); err != nil {
-		t.Fatalf("corrupt dataset directory removed: %v", err)
+	columns, rows, _ := decryptRows(t, ts2.URL, goodID)
+	if !reflect.DeepEqual(sortedRows(t, columns, rows), sortedRows(t, []string{"A", "B"}, goodRows)) {
+		t.Fatal("healthy dataset decrypts to different rows")
 	}
+	// The skipped directories are left on disk for inspection, untouched.
+	for d, want := range before {
+		if got := treeBytes(t, d); !reflect.DeepEqual(got, want) {
+			t.Fatalf("skipped dataset directory %s changed during boot:\n got %v\nwant %v", d, got, want)
+		}
+	}
+}
+
+// treeBytes maps every entry under root (by relative path) to its
+// contents; directories map to "/" so a created subdirectory shows too.
+func treeBytes(t *testing.T, root string) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			out[rel] = "/"
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		out[rel] = string(data)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }

@@ -231,27 +231,12 @@ func (r *Registry) Add(name string, cfg core.Config, upd *core.Updater) (*Datase
 	return ds, nil
 }
 
-// Restore registers a dataset recovered from the durable store under its
-// original id. Unlike Add it never invents an id, and a duplicate is an
-// error (two store entries claiming one id).
-func (r *Registry) Restore(id, name string, created time.Time, cfg core.Config, upd *core.Updater) (*Dataset, error) {
-	ds := &Dataset{ID: id, Name: name, Created: created, cfg: cfg, upd: upd}
-	ds.hydrated.Store(true)
-	ds.refreshSummaryLocked() // not yet published
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, taken := r.data[id]; taken {
-		return nil, fmt.Errorf("server: dataset id %q already registered", id)
-	}
-	r.data[id] = ds
-	return ds, nil
-}
-
-// RestoreLazy registers a dataset shell recovered from a chunked
-// snapshot: identity, config, and a summary computed from the snapshot
-// index, with the updater state left on disk. tail is the WAL tail to
-// replay when the dataset hydrates. Like Restore, a duplicate id is an
-// error.
+// RestoreLazy registers a dataset shell recovered from the durable store
+// under its original id: identity, config, and a summary computed from
+// the snapshot index, with the updater state left on disk. tail is the
+// WAL tail to replay when the dataset hydrates. Unlike Add it never
+// invents an id, and a duplicate is an error (two store entries claiming
+// one id).
 func (r *Registry) RestoreLazy(id, name string, created time.Time, cfg core.Config, sum Summary, tail []store.Batch) (*Dataset, error) {
 	ds := &Dataset{ID: id, Name: name, Created: created, cfg: cfg, lazyTail: tail}
 	ds.stats = sum // not yet published: no concurrent Summary readers

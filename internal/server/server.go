@@ -312,13 +312,12 @@ func New(opts Options) (*Server, error) {
 }
 
 // recover registers every dataset from the durable store under its
-// original id. Chunked (v2) snapshots restore lazily: only the index was
-// read, so recovery registers a shell — identity, config, a summary built
-// from index-level stats, and the retained WAL tail — and the first
-// request that needs the tables hydrates it (hydrateLocked). Legacy (v1)
-// monolithic snapshots restore eagerly, replay their tail, and are
-// re-saved so the next boot finds the chunked format. A dataset that
-// fails to restore is skipped with a loud log line rather than bricking
+// original id. Boot read only each snapshot index, so recovery registers
+// a shell per dataset — identity, config, a summary built from
+// index-level stats, and the retained WAL tail — and the first request
+// that needs the tables hydrates it (hydrateLocked). A dataset that fails
+// to restore (an unreadable index, an unsupported snapshot version, a
+// wrong master key) is skipped with a loud log line rather than bricking
 // the whole service: its files stay on disk untouched for manual
 // inspection, and every healthy dataset still comes up.
 func (s *Server) recover() error {
@@ -333,51 +332,7 @@ func (s *Server) recover() error {
 		s.logf("store: skipping unrecoverable dataset %s", msg)
 	}
 	for _, l := range loaded {
-		if l.Lazy {
-			s.recoverLazy(l)
-			continue
-		}
-		upd, err := core.RestoreUpdater(l.Config, l.Updater)
-		if err != nil {
-			s.logf("store: skipping dataset %s: %v", l.ID, err)
-			continue
-		}
-		walSeq := l.WALSeq
-		replayed := 0
-		for _, b := range l.Tail {
-			if err := upd.Buffer(b.Rows); err != nil {
-				// A journaled batch that no longer fits the schema can
-				// only mean on-disk corruption past the CRC; everything
-				// before it is intact, so keep that and stop replaying.
-				s.logf("store: dataset %s: dropping WAL tail from batch %d: %v", l.ID, b.Seq, err)
-				break
-			}
-			if b.Seq > walSeq {
-				walSeq = b.Seq
-			}
-			replayed++
-		}
-		ds, err := s.reg.Restore(l.ID, l.Name, l.Created, l.Config, upd)
-		if err != nil {
-			s.logf("store: skipping dataset %s: %v", l.ID, err)
-			continue
-		}
-		ds.walSeq = walSeq
-		ds.bufSeq = walSeq // every replayed batch is in the buffer
-		s.logf("recovered dataset %s (%q): %d rows, %d pending (%d WAL batches replayed)",
-			ds.ID, ds.Name, upd.Rows(), upd.Pending(), replayed)
-		if l.Legacy {
-			// Upgrade in place: rewrite the monolithic snapshot in the
-			// chunked format now, while the full state is in memory anyway.
-			// Failure is non-fatal — the v1 file still boots next time.
-			if rec := s.captureRecordLocked(ds); rec != nil {
-				if err := s.st.SaveSnapshot(s.lifecycle, rec); err != nil {
-					s.logf("store: dataset %s: upgrading legacy snapshot: %v", ds.ID, err)
-				} else {
-					s.logf("dataset %s: legacy snapshot upgraded to chunked format", ds.ID)
-				}
-			}
-		}
+		s.recoverLazy(l)
 	}
 	return nil
 }
@@ -446,8 +401,9 @@ func (s *Server) hydrateLocked(ctx context.Context, ds *Dataset) error {
 	}
 	for _, b := range ds.lazyTail {
 		if err := upd.Buffer(b.Rows); err != nil {
-			// Same policy as eager recovery: keep everything before the
-			// first corrupt batch rather than failing the dataset forever.
+			// A journaled batch that no longer fits the schema can only
+			// mean on-disk corruption past the CRC: keep everything before
+			// it rather than failing the dataset forever.
 			s.logf("store: dataset %s: dropping WAL tail from batch %d: %v", ds.ID, b.Seq, err)
 			break
 		}

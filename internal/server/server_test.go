@@ -283,6 +283,42 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestAppendDecodesCellsLikeCreate: create and append must turn the same
+// request bytes into the same plaintext. encoding/json replaces an
+// invalid UTF-8 byte with U+FFFD, so a cell sent raw as "a\xffb" in an
+// append is the same value as "a\uFFFDb" sent in a create. The check reads
+// the updater's plaintext directly: /decrypt would mask a mismatch, since
+// JSON output turns both spellings into U+FFFD.
+func TestAppendDecodesCellsLikeCreate(t *testing.T) {
+	srv, ts := newTestServer(t, 1)
+	id := createDataset(t, ts.URL, []string{"A", "B"}, [][]string{
+		{"a\uFFFDb", "x"}, {"c", "y"}, {"d", "z"},
+	})
+	r, err := http.Post(ts.URL+"/v1/datasets/"+id+"/rows", "application/json",
+		strings.NewReader("{\"rows\":[[\"a\xffb\",\"x\"]]}"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Body.Close()
+	if r.StatusCode != http.StatusOK {
+		t.Fatalf("append: status %d", r.StatusCode)
+	}
+	resp, body := doJSON(t, http.MethodPost, ts.URL+"/v1/datasets/"+id+"/flush?wait=1", nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("flush: status %d, body %s", resp.StatusCode, body)
+	}
+	ds, _ := srv.reg.Get(id)
+	ds.Lock()
+	col := ds.upd.Current().Column(0)
+	ds.Unlock()
+	if len(col) != 4 {
+		t.Fatalf("rows after append = %d, want 4", len(col))
+	}
+	if col[3] != col[0] {
+		t.Fatalf("appended cell %q, created cell %q: one request value became two plaintexts", col[3], col[0])
+	}
+}
+
 // TestConcurrentAppendsOneDataset races many append batches (some
 // triggering buffered rebuilds) against one dataset; afterwards every row
 // must be present exactly once. Run with -race.

@@ -208,13 +208,12 @@ func TestCrashMidRotationRecovery(t *testing.T) {
 	}
 }
 
-// TestChunkedVsMonolithicEquivalence is the format-equivalence property
-// test: for randomized datasets and flush streams, a dataset booted from
-// a chunked (v2) snapshot, one booted from a monolithic v1 snapshot, and
-// one that never restarted must agree byte for byte — same serialized
-// updater state before replay, same state after replaying the same WAL
-// tail.
-func TestChunkedVsMonolithicEquivalence(t *testing.T) {
+// TestChunkedVsNeverRestartedEquivalence is the format-equivalence
+// property test: for randomized datasets and flush streams, a dataset
+// booted from a chunked snapshot and one that never restarted must agree
+// byte for byte — same serialized updater state before replay, same
+// state after replaying the same WAL tail.
+func TestChunkedVsNeverRestartedEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(500 + seed))
@@ -225,8 +224,7 @@ func TestChunkedVsMonolithicEquivalence(t *testing.T) {
 			}
 			defer func() { s.Close() }()
 
-			const idV1 = "ds_111111111111"
-			const idV2 = "ds_222222222222"
+			const id = "ds_222222222222"
 			cfg := testConfig(fmt.Sprintf("equiv-%d", seed))
 			upd := newUpdater(t, cfg, testTable(rng, 30+rng.Intn(40)))
 
@@ -240,10 +238,8 @@ func TestChunkedVsMonolithicEquivalence(t *testing.T) {
 					rows = append(rows, testRow(rng, 3000+serial))
 				}
 				seq++
-				for _, id := range []string{idV1, idV2} {
-					if err := s.AppendBatch(context.Background(), id, Batch{Seq: seq, Rows: rows}); err != nil {
-						t.Fatal(err)
-					}
+				if err := s.AppendBatch(context.Background(), id, Batch{Seq: seq, Rows: rows}); err != nil {
+					t.Fatal(err)
 				}
 				if err := upd.Buffer(rows); err != nil {
 					t.Fatal(err)
@@ -260,32 +256,13 @@ func TestChunkedVsMonolithicEquivalence(t *testing.T) {
 			}
 
 			st := upd.State()
-			// v2: the real save path.
 			if err := s.SaveSnapshot(context.Background(), &Record{
-				ID: idV2, Name: "t", Config: cfg, Updater: st, WALSeq: seq,
+				ID: id, Name: "t", Config: cfg, Updater: st, WALSeq: seq,
 			}); err != nil {
 				t.Fatal(err)
 			}
-			// v1: the legacy monolithic format, written directly.
-			keyEnc, err := sealKey(s.master, cfg.Key)
-			if err != nil {
-				t.Fatal(err)
-			}
-			data, err := marshalSnapshot(&snapshotFile{
-				Version: snapshotVersionV1, ID: idV1, Name: "t", KeyEnc: keyEnc,
-				Config: configToFile(cfg), WALSeq: seq, Updater: st,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.MkdirAll(filepath.Join(dir, datasetsDir, idV1), 0o700); err != nil {
-				t.Fatal(err)
-			}
-			if err := writeFileAtomic(filepath.Join(dir, datasetsDir, idV1, snapshotName), data, 0o600); err != nil {
-				t.Fatal(err)
-			}
 
-			// Acknowledged batches past both snapshots: the tail to replay
+			// Acknowledged batches past the snapshot: the tail to replay
 			// (the live updater buffers them as part of the append).
 			appendRows(2)
 
@@ -296,138 +273,49 @@ func TestChunkedVsMonolithicEquivalence(t *testing.T) {
 			}
 			s = s2
 			loaded := loadOnly(t, s)
-			if len(loaded) != 2 {
-				t.Fatalf("loaded %d datasets, want 2", len(loaded))
+			if len(loaded) != 1 || loaded[0].ID != id {
+				t.Fatalf("loaded %d datasets, want 1", len(loaded))
 			}
-			byID := map[string]*Loaded{}
-			for _, l := range loaded {
-				byID[l.ID] = l
-			}
-			l1, l2 := byID[idV1], byID[idV2]
-			if l1 == nil || l2 == nil || !l1.Legacy || l1.Lazy || !l2.Lazy || l2.Legacy {
-				t.Fatalf("format flags wrong: v1=%+v v2=%+v", l1, l2)
-			}
+			l := loaded[0]
 
-			// Pre-replay: all three serialized states byte-identical.
+			// Pre-replay: both serialized states byte-identical.
 			want, err := json.Marshal(st)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotV1, err := json.Marshal(l1.Updater)
+			got, err := json.Marshal(hydrated(t, s, l))
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotV2, err := json.Marshal(hydrated(t, s, l2))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(gotV1) != string(want) {
-				t.Fatal("v1 boot state differs from the never-restarted state")
-			}
-			if string(gotV2) != string(want) {
+			if string(got) != string(want) {
 				t.Fatal("chunked boot state differs from the never-restarted state")
 			}
 
-			// Post-replay: replay each tail; the live updater already
-			// buffered the same rows when they were appended, so all three
+			// Post-replay: replay the tail; the live updater already
+			// buffered the same rows when they were appended, so both
 			// states must still agree byte for byte.
-			replay := func(l *Loaded) *core.Updater {
-				back, err := core.RestoreUpdater(l.Config, hydrated(t, s, l))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(l.Tail) != 1 {
-					t.Fatalf("%s: %d tail batches, want 1", l.ID, len(l.Tail))
-				}
-				for _, b := range l.Tail {
-					if err := back.Buffer(b.Rows); err != nil {
-						t.Fatal(err)
-					}
-				}
-				return back
-			}
-			u1, u2 := replay(l1), replay(l2)
-			want, err = json.Marshal(upd.State())
+			back, err := core.RestoreUpdater(l.Config, hydrated(t, s, l))
 			if err != nil {
 				t.Fatal(err)
 			}
-			for label, u := range map[string]*core.Updater{"v1": u1, "chunked": u2} {
-				got, err := json.Marshal(u.State())
-				if err != nil {
+			if len(l.Tail) != 1 {
+				t.Fatalf("%d tail batches, want 1", len(l.Tail))
+			}
+			for _, b := range l.Tail {
+				if err := back.Buffer(b.Rows); err != nil {
 					t.Fatal(err)
 				}
-				if string(got) != string(want) {
-					t.Fatalf("%s post-replay state differs from the never-restarted state", label)
-				}
+			}
+			if want, err = json.Marshal(upd.State()); err != nil {
+				t.Fatal(err)
+			}
+			if got, err = json.Marshal(back.State()); err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != string(want) {
+				t.Fatal("chunked post-replay state differs from the never-restarted state")
 			}
 		})
-	}
-}
-
-// TestLegacySnapshotUpgradesInPlace: a v1 snapshot boots, and the next
-// save rewrites it as a chunked v2 snapshot whose hydration reproduces
-// the same state.
-func TestLegacySnapshotUpgradesInPlace(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { s.Close() }()
-
-	const id = "ds_333333333333"
-	cfg := testConfig("upgrade")
-	upd := newUpdater(t, cfg, testTable(rand.New(rand.NewSource(9)), 40))
-	st := upd.State()
-	keyEnc, err := sealKey(s.master, cfg.Key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := marshalSnapshot(&snapshotFile{
-		Version: snapshotVersionV1, ID: id, Name: "t", KeyEnc: keyEnc,
-		Config: configToFile(cfg), WALSeq: 0, Updater: st,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.MkdirAll(filepath.Join(dir, datasetsDir, id), 0o700); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeFileAtomic(filepath.Join(dir, datasetsDir, id, snapshotName), data, 0o600); err != nil {
-		t.Fatal(err)
-	}
-
-	loaded := loadOnly(t, s)
-	if len(loaded) != 1 || !loaded[0].Legacy {
-		t.Fatalf("v1 snapshot did not load as legacy: %+v", loaded)
-	}
-	// LoadState works against v1 too (the state is inline).
-	if _, err := s.LoadState(context.Background(), id); err != nil {
-		t.Fatal(err)
-	}
-	// The upgrade: save again through the normal path.
-	if err := s.SaveSnapshot(context.Background(), record(id, cfg, upd, 0)); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(filepath.Join(dir, datasetsDir, id, snapshotName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ver, err := snapshotVersionOf(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ver != indexVersion {
-		t.Fatalf("snapshot version after upgrade = %d, want %d", ver, indexVersion)
-	}
-	loaded = loadOnly(t, s)
-	if len(loaded) != 1 || !loaded[0].Lazy {
-		t.Fatal("upgraded snapshot did not load lazily")
-	}
-	want, _ := json.Marshal(st)
-	got, _ := json.Marshal(hydrated(t, s, loaded[0]))
-	if string(got) != string(want) {
-		t.Fatal("upgraded snapshot hydrates to a different state")
 	}
 }
 

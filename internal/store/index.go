@@ -96,7 +96,7 @@ func parseIndex(data []byte) (*indexFile, error) {
 		return nil, fmt.Errorf("store: decoding snapshot index: %w", err)
 	}
 	if f.Version != indexVersion {
-		return nil, fmt.Errorf("store: snapshot index version %d, want %d", f.Version, indexVersion)
+		return nil, fmt.Errorf("store: snapshot format version %d, want %d", f.Version, indexVersion)
 	}
 	if f.ID == "" || f.Meta == nil {
 		return nil, fmt.Errorf("store: snapshot index is incomplete")
@@ -143,16 +143,4 @@ func checkManifest(section string, rows int, chunks []chunkRef) error {
 		return fmt.Errorf("store: snapshot index: %s chunks cover %d of %d rows", section, total, rows)
 	}
 	return nil
-}
-
-// snapshotVersionOf sniffs the format version of a snapshot file without
-// committing to either schema.
-func snapshotVersionOf(data []byte) (int, error) {
-	var v struct {
-		Version int `json:"version"`
-	}
-	if err := json.Unmarshal(data, &v); err != nil {
-		return 0, fmt.Errorf("store: decoding snapshot: %w", err)
-	}
-	return v.Version, nil
 }

@@ -256,12 +256,10 @@ func gcChunks(cs ChunkStore, idx *indexFile, crash func(string) error) error {
 }
 
 // LoadState hydrates one dataset's full updater state from its snapshot,
-// reading and verifying every chunk. It is the lazy counterpart of the
-// eager v1 load: boot returns index-level facts only, and the server
-// calls this on the first request that actually needs the tables. Held
-// shared against the rotation lock, so a concurrent rotation's GC cannot
-// unlink chunks mid-read. v1 monolithic snapshots hydrate too (the state
-// is inline), so callers need no format awareness.
+// reading and verifying every chunk. Boot returns index-level facts only,
+// and the server calls this on the first request that actually needs the
+// tables. Held shared against the rotation lock, so a concurrent
+// rotation's GC cannot unlink chunks mid-read.
 func (s *Store) LoadState(ctx context.Context, id string) (*core.UpdaterState, error) {
 	_, sp := obs.Start(ctx, "snapshot.hydrate")
 	defer sp.End()
@@ -277,17 +275,6 @@ func (s *Store) readState(id string) (*core.UpdaterState, error) {
 	data, err := os.ReadFile(filepath.Join(dir, snapshotName))
 	if err != nil {
 		return nil, fmt.Errorf("store: reading snapshot: %w", err)
-	}
-	ver, err := snapshotVersionOf(data)
-	if err != nil {
-		return nil, err
-	}
-	if ver == snapshotVersionV1 {
-		snap, err := unmarshalSnapshot(data)
-		if err != nil {
-			return nil, err
-		}
-		return snap.Updater, nil
 	}
 	idx, err := parseIndex(data)
 	if err != nil {

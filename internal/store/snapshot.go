@@ -1,45 +1,22 @@
 package store
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"syscall"
-	"time"
 
 	"f2/internal/core"
 	"f2/internal/crypt"
 )
-
-// snapshotVersionV1 is the legacy monolithic snapshot format: one JSON
-// blob carrying the entire updater state inline. It is read-only now —
-// SaveSnapshot always writes the v2 chunked format (see index.go) — but
-// the reader stays so pre-chunking data directories boot and upgrade in
-// place.
-const snapshotVersionV1 = 1
 
 // keyEnvelope prefixes the dataset key before master-key encryption. The
 // stream cipher has no MAC, so the prefix doubles as an integrity check:
 // decrypting with the wrong master key yields garbage that fails the
 // prefix test instead of silently installing a wrong key.
 const keyEnvelope = "f2-dataset-key:"
-
-// snapshotFile is the on-disk JSON shape of one dataset snapshot. The
-// dataset key never appears in the clear: KeyEnc holds it encrypted under
-// the store's master key, and the Config section is key-free.
-type snapshotFile struct {
-	Version int                `json:"version"`
-	ID      string             `json:"id"`
-	Name    string             `json:"name"`
-	Created time.Time          `json:"created"`
-	KeyEnc  string             `json:"keyEnc"`
-	Config  configFile         `json:"config"`
-	WALSeq  uint64             `json:"walSeq"`
-	Updater *core.UpdaterState `json:"updater"`
-}
 
 // configFile mirrors core.Config minus the key.
 type configFile struct {
@@ -53,8 +30,7 @@ type configFile struct {
 	SkipConflictResolution bool    `json:"skipConflictResolution,omitempty"`
 	// Parallelism is a pure throughput knob (the ciphertext is identical
 	// at every setting), but it round-trips so a restored dataset keeps
-	// the width it was created with. Absent in old snapshots → 0 →
-	// GOMAXPROCS.
+	// the width it was created with. Absent → 0 → GOMAXPROCS.
 	Parallelism int `json:"parallelism,omitempty"`
 }
 
@@ -181,26 +157,4 @@ func unsupportedSync(err error) bool {
 		errors.Is(err, syscall.ENOTSUP) ||
 		errors.Is(err, syscall.ENOTTY) ||
 		errors.Is(err, syscall.EOPNOTSUPP)
-}
-
-func marshalSnapshot(f *snapshotFile) ([]byte, error) {
-	data, err := json.Marshal(f)
-	if err != nil {
-		return nil, fmt.Errorf("store: encoding snapshot: %w", err)
-	}
-	return data, nil
-}
-
-func unmarshalSnapshot(data []byte) (*snapshotFile, error) {
-	var f snapshotFile
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("store: decoding snapshot: %w", err)
-	}
-	if f.Version != snapshotVersionV1 {
-		return nil, fmt.Errorf("store: snapshot version %d, want %d", f.Version, snapshotVersionV1)
-	}
-	if f.ID == "" || f.Updater == nil {
-		return nil, fmt.Errorf("store: snapshot is incomplete")
-	}
-	return &f, nil
 }

@@ -4,8 +4,8 @@
 // Layout under the data directory:
 //
 //	<dir>/master.key              service master key (hex, 0600)
-//	<dir>/datasets/<id>/snapshot.json   index blob (v2) or monolithic snapshot (v1)
-//	<dir>/datasets/<id>/chunks/<sha256> content-addressed data chunks (v2)
+//	<dir>/datasets/<id>/snapshot.json   index blob
+//	<dir>/datasets/<id>/chunks/<sha256> content-addressed data chunks
 //	<dir>/datasets/<id>/wal.log
 //
 // Each dataset is a snapshot plus a write-ahead log. The snapshot's index
@@ -18,9 +18,7 @@
 // chunk it references is durable, so a crash at any point leaves the
 // previous snapshot fully readable; a rotation-time GC then unlinks
 // chunks the new index no longer references. Boot reads only the index
-// (LoadAll); the full state hydrates on demand (LoadState). Snapshots
-// written by the v1 monolithic format still load — eagerly — and are
-// upgraded to v2 the next time they are saved.
+// (LoadAll); the full state hydrates on demand (LoadState).
 //
 // The WAL journals every append batch before the service acknowledges it.
 // Journal writes are group-committed: concurrent appends stage framed
@@ -84,21 +82,15 @@ type DatasetStats struct {
 	Meta          core.UpdaterMeta
 }
 
-// Loaded is a recovered dataset: its snapshot record plus the WAL tail —
-// acknowledged batches the snapshot does not include, in journal order —
-// which the caller must replay through the updater.
-//
-// For a v2 chunked snapshot, boot is lazy: Lazy is true, Record.Updater
-// is nil, Stats carries the index-level numbers, and the caller hydrates
-// the full state later via LoadState (then replays Tail). For a v1
-// monolithic snapshot, Legacy is true and Record.Updater is populated
-// eagerly; saving the dataset again upgrades it to v2 in place.
+// Loaded is a recovered dataset as boot sees it: only the snapshot index
+// was read, so Record.Updater is nil and Stats carries the index-level
+// numbers. Tail holds the acknowledged batches the snapshot does not
+// include, in journal order; the caller hydrates the full state via
+// LoadState and then replays Tail through the updater.
 type Loaded struct {
 	Record
-	Tail   []Batch
-	Lazy   bool
-	Legacy bool
-	Stats  *DatasetStats
+	Tail  []Batch
+	Stats DatasetStats
 }
 
 // Store is the durable dataset store. All methods are safe for concurrent
@@ -449,64 +441,15 @@ func (s *Store) LoadAll() (loaded []*Loaded, skipped []string, err error) {
 	return loaded, skipped, nil
 }
 
+// loadOne reads one dataset's index blob only: identity, config,
+// watermark, and the index-level stats. The chunked state stays on disk
+// until LoadState is called.
 func (s *Store) loadOne(id string) (*Loaded, error) {
 	dir := s.datasetDir(id)
 	data, err := os.ReadFile(filepath.Join(dir, snapshotName))
 	if err != nil {
 		return nil, fmt.Errorf("reading snapshot: %w", err)
 	}
-	ver, err := snapshotVersionOf(data)
-	if err != nil {
-		return nil, err
-	}
-	switch ver {
-	case snapshotVersionV1:
-		return s.loadLegacy(id, dir, data)
-	case indexVersion:
-		return s.loadIndexed(id, dir, data)
-	default:
-		return nil, fmt.Errorf("store: snapshot version %d, want %d or %d", ver, snapshotVersionV1, indexVersion)
-	}
-}
-
-// loadLegacy reads a v1 monolithic snapshot eagerly: the full updater
-// state is inline, so there is nothing to defer. The Legacy flag tells
-// the caller the next save will upgrade the dataset to the chunked
-// format.
-func (s *Store) loadLegacy(id, dir string, data []byte) (*Loaded, error) {
-	snap, err := unmarshalSnapshot(data)
-	if err != nil {
-		return nil, err
-	}
-	if snap.ID != id {
-		return nil, fmt.Errorf("snapshot id %q does not match directory %q", snap.ID, id)
-	}
-	key, err := openKey(s.master, snap.KeyEnc)
-	if err != nil {
-		return nil, err
-	}
-	tail, err := s.walTail(dir, snap.WALSeq)
-	if err != nil {
-		return nil, err
-	}
-	return &Loaded{
-		Record: Record{
-			ID:      snap.ID,
-			Name:    snap.Name,
-			Created: snap.Created,
-			Config:  snap.Config.config(key),
-			Updater: snap.Updater,
-			WALSeq:  snap.WALSeq,
-		},
-		Tail:   tail,
-		Legacy: true,
-	}, nil
-}
-
-// loadIndexed reads a v2 index blob only: identity, config, watermark,
-// and the index-level stats. The chunked state stays on disk until
-// LoadState is called.
-func (s *Store) loadIndexed(id, dir string, data []byte) (*Loaded, error) {
 	idx, err := parseIndex(data)
 	if err != nil {
 		return nil, err
@@ -531,8 +474,7 @@ func (s *Store) loadIndexed(id, dir string, data []byte) (*Loaded, error) {
 			WALSeq:  idx.WALSeq,
 		},
 		Tail: tail,
-		Lazy: true,
-		Stats: &DatasetStats{
+		Stats: DatasetStats{
 			Rows:          idx.Current.Rows,
 			PendingRows:   idx.Buffer.Rows,
 			EncryptedRows: idx.Encrypted.Rows,
