@@ -3,10 +3,8 @@ package obs
 import (
 	"context"
 	"encoding/json"
-	"math"
 	"os"
 	"path/filepath"
-	"runtime/metrics"
 	"strings"
 	"testing"
 	"time"
@@ -50,57 +48,6 @@ func TestRuntimeSamplerHistoryBounded(t *testing.T) {
 	}
 	if last := s.Latest(); !last.Time.Equal(h[2].Time) {
 		t.Error("Latest is not the newest history entry")
-	}
-}
-
-func TestHistQuantile(t *testing.T) {
-	// Three buckets: [0,1) ×2, [1,2) ×6, [2,4) ×2 → 10 observations.
-	counts := []uint64{2, 6, 2}
-	buckets := []float64{0, 1, 2, 4}
-	cases := []struct {
-		q    float64
-		want float64
-	}{
-		{0.2, 1},     // rank 2 = top of bucket 0
-		{0.5, 1.5},   // rank 5: 3 of 6 into [1,2)
-		{0.8, 2},     // rank 8 = top of bucket 1
-		{1.0, 4},     // rank 10 = top of bucket 2
-		{0.05, 0.25}, // rank 0.5: a quarter into [0,1)
-	}
-	for _, c := range cases {
-		if got := histQuantile(counts, buckets, c.q); math.Abs(got-c.want) > 1e-9 {
-			t.Errorf("histQuantile(q=%g) = %g, want %g", c.q, got, c.want)
-		}
-	}
-}
-
-func TestHistQuantileInfiniteEdges(t *testing.T) {
-	counts := []uint64{1, 1}
-	buckets := []float64{math.Inf(-1), 1, math.Inf(1)}
-	if got := histQuantile(counts, buckets, 0.25); got < 0 || got > 1 {
-		t.Errorf("-Inf lower edge not clamped: got %g", got)
-	}
-	// A rank landing in the +Inf bucket clamps to its finite lower bound.
-	if got := histQuantile(counts, buckets, 1.0); got != 1 {
-		t.Errorf("+Inf upper edge: got %g, want 1", got)
-	}
-	if got := histQuantile([]uint64{0, 0}, buckets, 0.5); got != 0 {
-		t.Errorf("empty histogram: got %g, want 0", got)
-	}
-}
-
-func TestWindowQuantilesUsesDelta(t *testing.T) {
-	prev := &metrics.Float64Histogram{Counts: []uint64{10, 0}, Buckets: []float64{0, 1, 2}}
-	cur := &metrics.Float64Histogram{Counts: []uint64{10, 4}, Buckets: []float64{0, 1, 2}}
-	q := windowQuantiles(cur, prev)
-	// All 4 window events are in [1,2): even p50 must be above 1.
-	if q.P50 < 1 || q.P50 > 2 {
-		t.Errorf("window p50 = %g, want in [1,2]", q.P50)
-	}
-	// No new events: falls back to the cumulative distribution.
-	q = windowQuantiles(cur, cur)
-	if q.P50 == 0 {
-		t.Error("cumulative fallback returned 0 for a populated histogram")
 	}
 }
 

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"math"
 	"runtime/metrics"
 	"sync"
 	"time"
@@ -198,66 +197,6 @@ func cloneHist(h *metrics.Float64Histogram) *metrics.Float64Histogram {
 // it falls back to the cumulative since-boot distribution — a flat line
 // is more useful than a zero when the process is idle.
 func windowQuantiles(cur, prev *metrics.Float64Histogram) Quantiles {
-	counts := cur.Counts
-	if prev != nil && len(prev.Counts) == len(cur.Counts) {
-		delta := make([]uint64, len(cur.Counts))
-		total := uint64(0)
-		for i, c := range cur.Counts {
-			if p := prev.Counts[i]; c >= p {
-				delta[i] = c - p
-			}
-			total += delta[i]
-		}
-		if total > 0 {
-			counts = delta
-		}
-	}
-	return Quantiles{
-		P50: histQuantile(counts, cur.Buckets, 0.5),
-		P90: histQuantile(counts, cur.Buckets, 0.9),
-		P99: histQuantile(counts, cur.Buckets, 0.99),
-	}
-}
-
-// histQuantile interpolates the q-quantile out of a runtime/metrics
-// histogram: Counts[i] falls in [Buckets[i], Buckets[i+1]). Infinite
-// edges clamp to their finite neighbor so the result is always a real
-// number.
-func histQuantile(counts []uint64, buckets []float64, q float64) float64 {
-	if len(buckets) != len(counts)+1 {
-		return 0
-	}
-	total := uint64(0)
-	for _, c := range counts {
-		total += c
-	}
-	if total == 0 {
-		return 0
-	}
-	rank := q * float64(total)
-	cum := 0.0
-	for i, c := range counts {
-		if c == 0 {
-			continue
-		}
-		next := cum + float64(c)
-		if rank <= next {
-			lo, hi := buckets[i], buckets[i+1]
-			if math.IsInf(lo, -1) {
-				lo = 0
-			}
-			if math.IsInf(hi, 1) {
-				return lo
-			}
-			frac := (rank - cum) / float64(c)
-			return lo + (hi-lo)*frac
-		}
-		cum = next
-	}
-	// Unreachable with consistent counts; return the top finite bound.
-	hi := buckets[len(buckets)-1]
-	if math.IsInf(hi, 1) {
-		hi = buckets[len(buckets)-2]
-	}
-	return hi
+	h := fromRuntime(cur, prev)
+	return Quantiles{P50: h.Quantile(0.5), P90: h.Quantile(0.9), P99: h.Quantile(0.99)}
 }

@@ -10,6 +10,12 @@ import (
 	"f2/internal/obs"
 )
 
+// latencyBounds are the per-op latency bucket upper bounds in ns, 10 per
+// decade from 1µs to 1000s: an interpolated quantile is off from the
+// exact order statistic by at most one bucket ratio (10^0.1 ≈ 1.26), and
+// in practice much less.
+var latencyBounds = obs.LogBounds(1e3, 1e12, 10)
+
 // stageAcc accumulates one stage's span durations within a worker.
 type stageAcc struct {
 	total time.Duration
@@ -140,13 +146,17 @@ func Run(ctx context.Context, w Workload, sc Scale, rc RunConfig) (*RunResult, e
 		deadline = start.Add(rc.Duration)
 	}
 	var claimed int64 // op tickets; the first ticket always runs
-	recorders := make([]*Recorder, conc)
+	// Each worker owns a latency histogram (in ns), merged once the
+	// workers are done. Errored ops only bump errs: a fast failure path
+	// must not masquerade as a latency improvement.
+	hists := make([]*obs.Histogram, conc)
 	stageAggs := make([]map[string]*stageAcc, conc)
+	var errs atomic.Int64
 	var firstErr atomic.Pointer[error]
 	var wg sync.WaitGroup
 	for i := 0; i < conc; i++ {
-		rec := NewRecorder()
-		recorders[i] = rec
+		lat := obs.NewHistogram(latencyBounds)
+		hists[i] = lat
 		var stages map[string]*stageAcc
 		if rc.Stages {
 			stages = map[string]*stageAcc{}
@@ -180,9 +190,11 @@ func Run(ctx context.Context, w Workload, sc Scale, rc RunConfig) (*RunResult, e
 				}
 				if err != nil {
 					firstErr.CompareAndSwap(nil, &err)
+					errs.Add(1)
+					continue
 				}
-				rec.Record(time.Since(t0), err)
-				if tr != nil && err == nil {
+				lat.Observe(float64(time.Since(t0)))
+				if tr != nil {
 					tr.Finish()
 					tr.Snapshot().EachSpan(func(name string, d time.Duration) {
 						a := stages[name]
@@ -200,10 +212,12 @@ func Run(ctx context.Context, w Workload, sc Scale, rc RunConfig) (*RunResult, e
 	wg.Wait()
 	elapsed := time.Since(start)
 
-	merged := recorders[0]
-	for _, r := range recorders[1:] {
-		merged.Merge(r)
+	merged := hists[0]
+	for _, h := range hists[1:] {
+		merged.Merge(h)
 	}
+	// Truncated to whole ns, like every other latency in a BENCH report.
+	nsMs := func(ns float64) float64 { return ms(time.Duration(ns)) }
 	var stages map[string]StageStat
 	if rc.Stages {
 		mergedStages := map[string]*stageAcc{}
@@ -233,16 +247,16 @@ func Run(ctx context.Context, w Workload, sc Scale, rc RunConfig) (*RunResult, e
 	res := &RunResult{
 		Workload:    w.Name,
 		Concurrency: conc,
-		Ops:         merged.Count(),
-		Errors:      merged.Errors(),
+		Ops:         int(merged.Count()),
+		Errors:      int(errs.Load()),
 		Cancelled:   ctx.Err() != nil,
 		ElapsedMs:   ms(elapsed),
-		P50Ms:       ms(merged.Quantile(0.50)),
-		P95Ms:       ms(merged.Quantile(0.95)),
-		P99Ms:       ms(merged.Quantile(0.99)),
-		MinMs:       ms(merged.Min()),
-		MeanMs:      ms(merged.Mean()),
-		MaxMs:       ms(merged.Max()),
+		P50Ms:       nsMs(merged.Quantile(0.50)),
+		P95Ms:       nsMs(merged.Quantile(0.95)),
+		P99Ms:       nsMs(merged.Quantile(0.99)),
+		MinMs:       nsMs(merged.Min()),
+		MeanMs:      nsMs(merged.Mean()),
+		MaxMs:       nsMs(merged.Max()),
 		Stages:      stages,
 	}
 	if sec := elapsed.Seconds(); sec > 0 {

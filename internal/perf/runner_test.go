@@ -181,6 +181,55 @@ func TestRunnerAllOpsFailed(t *testing.T) {
 	}
 }
 
+// TestRunnerErrorsExcluded: ops that fail, however slowly, are counted in
+// Errors and never enter the latency distribution, so p99 reflects only
+// the successful ops.
+func TestRunnerErrorsExcluded(t *testing.T) {
+	const slowFail = 30 * time.Millisecond
+	var calls atomic.Int64
+	w := Workload{
+		Name: "test/intermittent",
+		Setup: func(ctx context.Context, sc Scale) (*Instance, error) {
+			return &Instance{Op: func(ctx context.Context) error {
+				if calls.Add(1)%2 == 0 {
+					time.Sleep(slowFail)
+					return errTest
+				}
+				return nil
+			}}, nil
+		},
+	}
+	res, err := Run(context.Background(), w, Scale{}, RunConfig{MaxOps: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Ops != 5 || res.Errors != 5 {
+		t.Fatalf("ops/errors = %d/%d, want 5/5", res.Ops, res.Errors)
+	}
+	if limit := ms(slowFail) / 2; res.P99Ms >= limit || res.MaxMs >= limit {
+		t.Errorf("p99/max = %vms/%vms polluted by the %v failures", res.P99Ms, res.MaxMs, slowFail)
+	}
+}
+
+// TestRecorderEmpty checks the zero-sample edge: when every op fails the
+// latency histogram stays empty and the run reports zero latencies, not
+// NaN or a stale bound.
+func TestRecorderEmpty(t *testing.T) {
+	w := Workload{
+		Name: "test/empty",
+		Setup: func(ctx context.Context, sc Scale) (*Instance, error) {
+			return &Instance{Op: func(ctx context.Context) error { return errTest }}, nil
+		},
+	}
+	res, _ := Run(context.Background(), w, Scale{}, RunConfig{MaxOps: 2})
+	if res == nil || res.Ops != 0 {
+		t.Fatalf("res = %+v, want 0 recorded ops", res)
+	}
+	if res.P50Ms != 0 || res.P99Ms != 0 || res.MinMs != 0 || res.MeanMs != 0 || res.MaxMs != 0 {
+		t.Errorf("empty run must report zero latencies, got %+v", res)
+	}
+}
+
 func TestRunnerNeedsABound(t *testing.T) {
 	w, _ := countingWorkload("test/unbounded", 0, 0)
 	if _, err := Run(context.Background(), w, Scale{}, RunConfig{}); err == nil {

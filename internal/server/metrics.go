@@ -7,101 +7,29 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"f2/internal/obs"
 )
 
-// latencyBuckets are the upper bounds of the request-latency histogram,
-// exponential from 1ms to 10s (the F² rebuild of a large dataset sits in
-// the upper buckets, metadata reads in the lowest).
-var latencyBuckets = []time.Duration{
-	time.Millisecond,
-	5 * time.Millisecond,
-	25 * time.Millisecond,
-	100 * time.Millisecond,
-	500 * time.Millisecond,
-	2500 * time.Millisecond,
-	10 * time.Second,
-}
+// latencyBuckets are the upper bounds, in seconds, of the request-latency
+// histogram, exponential from 1ms to 10s (the F² rebuild of a large
+// dataset sits in the upper buckets, metadata reads in the lowest).
+var latencyBuckets = []float64{0.001, 0.005, 0.025, 0.1, 0.5, 2.5, 10}
 
-// stageBuckets bound the per-stage histogram. Stages are one slice of a
-// request — an in-memory buffer append is single-digit microseconds, a
-// WAL fsync ~100µs, a full rebuild's Step 1 can run for seconds — so the
-// range starts four decades below latencyBuckets' top and ends at 20s.
-// The sub-100µs buckets matter: without them every fast stage collapses
-// into the first bucket and its interpolated quantiles are fiction.
-var stageBuckets = []time.Duration{
-	5 * time.Microsecond,
-	25 * time.Microsecond,
-	100 * time.Microsecond,
-	500 * time.Microsecond,
-	2500 * time.Microsecond,
-	10 * time.Millisecond,
-	50 * time.Millisecond,
-	250 * time.Millisecond,
-	time.Second,
-	5 * time.Second,
-	20 * time.Second,
-}
+// stageBuckets bound the per-stage histogram, in seconds. Stages are one
+// slice of a request — an in-memory buffer append is single-digit
+// microseconds, a WAL fsync ~100µs, a full rebuild's Step 1 can run for
+// seconds — so the range starts four decades below latencyBuckets' top
+// and ends at 20s. The sub-100µs buckets matter: without them every fast
+// stage collapses into the first bucket and its interpolated quantiles
+// are fiction.
+var stageBuckets = []float64{5e-6, 25e-6, 100e-6, 500e-6, 2500e-6, 0.01, 0.05, 0.25, 1, 5, 20}
 
-// opStats accumulates one operation's counters and latency histogram.
+// opStats accumulates one operation's status-class counters and latency
+// histogram.
 type opStats struct {
 	byClass map[string]uint64 // "2xx", "4xx", "5xx"
-	count   uint64
-	sum     time.Duration
-	max     time.Duration
-	buckets []uint64 // len(latencyBuckets)+1, last is +Inf
-}
-
-// stageStats accumulates one pipeline stage's duration histogram, fed
-// from completed trace spans.
-type stageStats struct {
-	count   uint64
-	sum     time.Duration
-	max     time.Duration
-	buckets []uint64 // len(stageBuckets)+1, last is +Inf
-}
-
-// quantileFromBuckets derives the q-quantile (0 < q ≤ 1) from a
-// histogram the way Prometheus's histogram_quantile does: locate the
-// bucket holding the target rank through the cumulative counts, then
-// interpolate linearly between the bucket's bounds (the first bucket's
-// lower bound is 0). The open +Inf bucket has no upper bound to
-// interpolate toward, so it reports the exact observed max instead —
-// tighter than the Prometheus convention of clamping to the last finite
-// bound. counts has len(bounds)+1 entries, the last being +Inf.
-func quantileFromBuckets(bounds []time.Duration, counts []uint64, total uint64, max time.Duration, q float64) time.Duration {
-	if total == 0 {
-		return 0
-	}
-	rank := q * float64(total)
-	cum := 0.0
-	for i, c := range counts {
-		if c == 0 {
-			continue
-		}
-		next := cum + float64(c)
-		if rank <= next {
-			if i == len(bounds) {
-				return max
-			}
-			lo := time.Duration(0)
-			if i > 0 {
-				lo = bounds[i-1]
-			}
-			hi := bounds[i]
-			frac := (rank - cum) / float64(c)
-			return lo + time.Duration(float64(hi-lo)*frac)
-		}
-		cum = next
-	}
-	return max
-}
-
-func (s *opStats) quantile(q float64) time.Duration {
-	return quantileFromBuckets(latencyBuckets, s.buckets, s.count, s.max, q)
-}
-
-func (s *stageStats) quantile(q float64) time.Duration {
-	return quantileFromBuckets(stageBuckets, s.buckets, s.count, s.max, q)
+	h       *obs.Histogram
 }
 
 // Metrics records per-operation request counts and latency histograms and
@@ -111,7 +39,7 @@ func (s *stageStats) quantile(q float64) time.Duration {
 type Metrics struct {
 	mu         sync.Mutex
 	ops        map[string]*opStats
-	stages     map[string]*stageStats
+	stages     map[string]*obs.Histogram // pipeline stage durations, fed from completed trace spans
 	gauges     map[string]func() float64
 	gaugeVecs  map[string]func() []GaugeSample
 	counters   map[string]map[string]uint64 // name -> rendered label list -> count
@@ -123,7 +51,7 @@ type Metrics struct {
 func NewMetrics() *Metrics {
 	return &Metrics{
 		ops:        make(map[string]*opStats),
-		stages:     make(map[string]*stageStats),
+		stages:     make(map[string]*obs.Histogram),
 		gauges:     make(map[string]func() float64),
 		gaugeVecs:  make(map[string]func() []GaugeSample),
 		counters:   make(map[string]map[string]uint64),
@@ -311,17 +239,11 @@ func (m *Metrics) Observe(op string, status int, d time.Duration) {
 	defer m.mu.Unlock()
 	s, ok := m.ops[op]
 	if !ok {
-		s = &opStats{byClass: make(map[string]uint64), buckets: make([]uint64, len(latencyBuckets)+1)}
+		s = &opStats{byClass: make(map[string]uint64), h: obs.NewHistogram(latencyBuckets)}
 		m.ops[op] = s
 	}
 	s.byClass[class]++
-	s.count++
-	s.sum += d
-	if d > s.max {
-		s.max = d
-	}
-	i := sort.Search(len(latencyBuckets), func(i int) bool { return d <= latencyBuckets[i] })
-	s.buckets[i]++
+	s.h.Observe(d.Seconds())
 }
 
 // ObserveStage records one completed pipeline-stage span (from the
@@ -329,18 +251,12 @@ func (m *Metrics) Observe(op string, status int, d time.Duration) {
 func (m *Metrics) ObserveStage(stage string, d time.Duration) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	s, ok := m.stages[stage]
+	h, ok := m.stages[stage]
 	if !ok {
-		s = &stageStats{buckets: make([]uint64, len(stageBuckets)+1)}
-		m.stages[stage] = s
+		h = obs.NewHistogram(stageBuckets)
+		m.stages[stage] = h
 	}
-	s.count++
-	s.sum += d
-	if d > s.max {
-		s.max = d
-	}
-	i := sort.Search(len(stageBuckets), func(i int) bool { return d <= stageBuckets[i] })
-	s.buckets[i]++
+	h.Observe(d.Seconds())
 }
 
 // Render writes the registry in Prometheus text format.
@@ -438,31 +354,11 @@ func (m *Metrics) Render(w io.Writer) {
 		sort.Strings(stageNames)
 		writeHeader(w, "f2_stage_duration_seconds", "histogram")
 		for _, n := range stageNames {
-			s := m.stages[n]
-			lbl := escapeLabelValue(n)
-			cum := uint64(0)
-			for i, ub := range stageBuckets {
-				cum += s.buckets[i]
-				fmt.Fprintf(w, "f2_stage_duration_seconds_bucket{stage=\"%s\",le=\"%s\"} %d\n",
-					lbl, formatSeconds(ub), cum)
-			}
-			cum += s.buckets[len(stageBuckets)]
-			fmt.Fprintf(w, "f2_stage_duration_seconds_bucket{stage=\"%s\",le=\"+Inf\"} %d\n", lbl, cum)
-			fmt.Fprintf(w, "f2_stage_duration_seconds_sum{stage=\"%s\"} %.6f\n", lbl, s.sum.Seconds())
-			fmt.Fprintf(w, "f2_stage_duration_seconds_count{stage=\"%s\"} %d\n", lbl, s.count)
-			fmt.Fprintf(w, "f2_stage_duration_seconds_max{stage=\"%s\"} %.6f\n", lbl, s.max.Seconds())
+			writeHistogram(w, "f2_stage_duration_seconds", "stage", n, m.stages[n])
 		}
-		// Derived stage quantiles, mirroring the per-request ones below:
-		// the perf harness and dashboards read these without reimplementing
-		// histogram_quantile.
 		writeHeader(w, "f2_stage_duration_quantile_seconds", "gauge")
 		for _, n := range stageNames {
-			s := m.stages[n]
-			lbl := escapeLabelValue(n)
-			for _, q := range []float64{0.5, 0.95, 0.99} {
-				fmt.Fprintf(w, "f2_stage_duration_quantile_seconds{stage=\"%s\",quantile=\"%g\"} %.6f\n",
-					lbl, q, s.quantile(q).Seconds())
-			}
+			writeQuantiles(w, "f2_stage_duration_quantile_seconds", "stage", n, m.stages[n])
 		}
 	}
 
@@ -486,35 +382,38 @@ func (m *Metrics) Render(w io.Writer) {
 		}
 		writeHeader(w, "f2_http_request_duration_seconds", "histogram")
 		for _, n := range opNames {
-			s := m.ops[n]
-			cum := uint64(0)
-			for i, ub := range latencyBuckets {
-				cum += s.buckets[i]
-				fmt.Fprintf(w, "f2_http_request_duration_seconds_bucket{op=%q,le=\"%s\"} %d\n",
-					n, formatSeconds(ub), cum)
-			}
-			cum += s.buckets[len(latencyBuckets)]
-			fmt.Fprintf(w, "f2_http_request_duration_seconds_bucket{op=%q,le=\"+Inf\"} %d\n", n, cum)
-			fmt.Fprintf(w, "f2_http_request_duration_seconds_sum{op=%q} %.6f\n", n, s.sum.Seconds())
-			fmt.Fprintf(w, "f2_http_request_duration_seconds_count{op=%q} %d\n", n, s.count)
-			fmt.Fprintf(w, "f2_http_request_duration_seconds_max{op=%q} %.6f\n", n, s.max.Seconds())
+			writeHistogram(w, "f2_http_request_duration_seconds", "op", n, m.ops[n].h)
 		}
-		// Server-side derived quantiles: dashboards without a PromQL
-		// engine (and the perf harness) read p50/p95/p99 directly instead
-		// of re-implementing histogram_quantile over the buckets.
 		writeHeader(w, "f2_http_request_latency_quantile_seconds", "gauge")
 		for _, n := range opNames {
-			s := m.ops[n]
-			for _, q := range []float64{0.5, 0.95, 0.99} {
-				fmt.Fprintf(w, "f2_http_request_latency_quantile_seconds{op=%q,quantile=\"%g\"} %.6f\n",
-					n, q, s.quantile(q).Seconds())
-			}
+			writeQuantiles(w, "f2_http_request_latency_quantile_seconds", "op", n, m.ops[n].h)
 		}
 	}
 }
 
-// formatSeconds renders a bucket bound the Prometheus way ("0.005", "10");
-// %g already emits the shortest form.
-func formatSeconds(d time.Duration) string {
-	return fmt.Sprintf("%g", d.Seconds())
+// writeHistogram emits one labelled series of a histogram family:
+// cumulative buckets, then _sum, _count and the exact _max.
+func writeHistogram(w io.Writer, family, label, value string, h *obs.Histogram) {
+	lbl := label + `="` + escapeLabelValue(value) + `"`
+	bounds := h.Bounds()
+	for i, cum := range h.Cumulative() {
+		le := "+Inf"
+		if i < len(bounds) {
+			le = fmt.Sprintf("%g", bounds[i])
+		}
+		fmt.Fprintf(w, "%s_bucket{%s,le=\"%s\"} %d\n", family, lbl, le, cum)
+	}
+	fmt.Fprintf(w, "%s_sum{%s} %.6f\n", family, lbl, h.Sum())
+	fmt.Fprintf(w, "%s_count{%s} %d\n", family, lbl, h.Count())
+	fmt.Fprintf(w, "%s_max{%s} %.6f\n", family, lbl, h.Max())
+}
+
+// writeQuantiles emits the p50/p95/p99 gauges derived from h, so
+// dashboards without a PromQL engine (and the perf harness) read them
+// directly instead of reimplementing histogram_quantile.
+func writeQuantiles(w io.Writer, family, label, value string, h *obs.Histogram) {
+	lbl := label + `="` + escapeLabelValue(value) + `"`
+	for _, q := range []float64{0.5, 0.95, 0.99} {
+		fmt.Fprintf(w, "%s{%s,quantile=\"%g\"} %.6f\n", family, lbl, q, h.Quantile(q))
+	}
 }

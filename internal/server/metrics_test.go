@@ -1,67 +1,28 @@
 package server
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"f2/internal/obs"
 )
 
-// TestQuantileInterpolationExact pins the histogram-quantile
-// interpolation against an exactly-sorted sample. The bucket layout is
-// latencyBuckets = [1ms 5ms 25ms ...]; we place 8 observations in the
-// first bucket and 2 in the second, i.e. the sorted sample
-//
-//	x_1 ≤ ... ≤ x_8 ≤ 1ms < x_9, x_10 ≤ 5ms
-//
-// With observations assumed uniform inside their bucket, the q-quantile
-// at rank r = q·10 interpolates linearly between the enclosing bucket's
-// bounds; these closed-form positions are pinned exactly.
-func TestQuantileInterpolationExact(t *testing.T) {
-	m := NewMetrics()
-	for i := 0; i < 8; i++ {
-		m.Observe("op", 200, 500*time.Microsecond) // bucket (0, 1ms]
-	}
-	for i := 0; i < 2; i++ {
-		m.Observe("op", 200, 2*time.Millisecond) // bucket (1ms, 5ms]
-	}
-	s := m.ops["op"]
-	cases := []struct {
-		q    float64
-		want time.Duration
-	}{
-		// rank 5 of 10 → bucket 0, frac 5/8: 0 + (1ms)·5/8.
-		{0.50, 625 * time.Microsecond},
-		// rank 8 → exactly fills bucket 0: its upper bound.
-		{0.80, time.Millisecond},
-		// rank 9.5 → bucket 1, frac 1.5/2: 1ms + 4ms·0.75.
-		{0.95, 4 * time.Millisecond},
-		// rank 9.9 → bucket 1, frac 1.9/2: 1ms + 4ms·0.95.
-		{0.99, 4800 * time.Microsecond},
-	}
-	for _, c := range cases {
-		if got := s.quantile(c.q); got != c.want {
-			t.Errorf("quantile(%v) = %v, want %v", c.q, got, c.want)
-		}
-	}
-}
-
-// TestQuantileOverflowBucketUsesMax: the +Inf bucket has no upper bound
-// to interpolate toward, so quantiles landing there report the exact
-// observed max.
-func TestQuantileOverflowBucketUsesMax(t *testing.T) {
-	m := NewMetrics()
-	m.Observe("op", 200, time.Millisecond)
-	m.Observe("op", 200, 42*time.Second) // beyond the last 10s bound
-	s := m.ops["op"]
-	if got := s.quantile(0.99); got != 42*time.Second {
-		t.Errorf("quantile(0.99) = %v, want the exact max 42s", got)
-	}
-}
-
+// TestQuantileEmptyOp: an op histogram with no samples reports 0 for
+// every quantile gauge, not NaN.
 func TestQuantileEmptyOp(t *testing.T) {
-	s := &opStats{buckets: make([]uint64, len(latencyBuckets)+1)}
-	if got := s.quantile(0.5); got != 0 {
+	s := &opStats{byClass: make(map[string]uint64), h: obs.NewHistogram(latencyBuckets)}
+	if got := s.h.Quantile(0.5); got != 0 {
 		t.Errorf("quantile on empty stats = %v, want 0", got)
+	}
+	var b strings.Builder
+	writeQuantiles(&b, "f2_http_request_latency_quantile_seconds", "op", "put", s.h)
+	for _, line := range strings.Split(strings.TrimSpace(b.String()), "\n") {
+		if !strings.HasSuffix(line, " 0.000000") {
+			t.Errorf("empty op gauge %q, want value 0", line)
+		}
 	}
 }
 
@@ -191,7 +152,13 @@ func TestStageHistogramCumulative(t *testing.T) {
 }
 
 // TestMetricsRenderQuantileGauges checks the derived gauges land in the
-// Prometheus exposition with the pinned interpolated values.
+// Prometheus exposition with the pinned interpolated values. 8 × 500µs
+// fall in (0, 1ms] and 2 × 2ms in (1ms, 5ms]; rank r = q·10, and each
+// bucket is clamped to the observed [500µs, 2ms]:
+//
+//	p50: r=5, 500µs + (1ms−500µs)·5/8 = 812.5µs → 0.000813
+//	p95: r=9.5, 1ms + (2ms−1ms)·1.5/2 = 1.75ms
+//	p99: r=9.9, 1ms + (2ms−1ms)·1.9/2 = 1.95ms
 func TestMetricsRenderQuantileGauges(t *testing.T) {
 	m := NewMetrics()
 	for i := 0; i < 8; i++ {
@@ -205,9 +172,9 @@ func TestMetricsRenderQuantileGauges(t *testing.T) {
 	out := b.String()
 	for _, want := range []string{
 		`# TYPE f2_http_request_latency_quantile_seconds gauge`,
-		`f2_http_request_latency_quantile_seconds{op="flush",quantile="0.5"} 0.000625`,
-		`f2_http_request_latency_quantile_seconds{op="flush",quantile="0.95"} 0.004000`,
-		`f2_http_request_latency_quantile_seconds{op="flush",quantile="0.99"} 0.004800`,
+		`f2_http_request_latency_quantile_seconds{op="flush",quantile="0.5"} 0.000813`,
+		`f2_http_request_latency_quantile_seconds{op="flush",quantile="0.95"} 0.001750`,
+		`f2_http_request_latency_quantile_seconds{op="flush",quantile="0.99"} 0.001950`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("rendered metrics missing %q in:\n%s", want, out)
@@ -215,36 +182,87 @@ func TestMetricsRenderQuantileGauges(t *testing.T) {
 	}
 }
 
-// TestStageQuantileSubHundredMicros pins the stage-histogram
-// interpolation against an exactly-sorted sample placed in the new
-// sub-100µs buckets (5µs, 25µs): 8 observations in (0, 5µs] and 2 in
-// (5µs, 25µs], so rank r = q·10 interpolates inside known bounds.
-func TestStageQuantileSubHundredMicros(t *testing.T) {
+// TestRenderHistogramExposition pins every _bucket, _sum, _count and _max
+// line both histogram families render for fixed observations — bounds
+// on and between bucket edges, past the last finite bound, and two
+// series per family.
+func TestRenderHistogramExposition(t *testing.T) {
 	m := NewMetrics()
-	for i := 0; i < 8; i++ {
-		m.ObserveStage("buffer.append", 3*time.Microsecond) // bucket (0, 5µs]
+	for _, d := range []time.Duration{300 * time.Microsecond, time.Millisecond, 1234567 * time.Nanosecond,
+		40 * time.Millisecond, 2500 * time.Millisecond, 42 * time.Second} {
+		m.Observe("create", 200, d)
 	}
-	for i := 0; i < 2; i++ {
-		m.ObserveStage("buffer.append", 10*time.Microsecond) // bucket (5µs, 25µs]
+	m.Observe("create", 503, 7*time.Millisecond)
+	m.Observe("decrypt", 200, 3*time.Millisecond)
+	for _, d := range []time.Duration{3 * time.Microsecond, 5 * time.Microsecond, 77 * time.Microsecond,
+		1500 * time.Microsecond, 333 * time.Millisecond, 30 * time.Second} {
+		m.ObserveStage("wal.fsync", d)
 	}
-	s := m.stages["buffer.append"]
-	cases := []struct {
-		q    float64
-		want time.Duration
-	}{
-		// rank 5 of 10 → bucket 0, frac 5/8: 0 + 5µs·5/8.
-		{0.50, 3125 * time.Nanosecond},
-		// rank 8 → exactly fills bucket 0: its upper bound.
-		{0.80, 5 * time.Microsecond},
-		// rank 9.5 → bucket 1, frac 1.5/2: 5µs + 20µs·0.75.
-		{0.95, 20 * time.Microsecond},
-		// rank 9.9 → bucket 1, frac 1.9/2: 5µs + 20µs·0.95.
-		{0.99, 24 * time.Microsecond},
-	}
-	for _, c := range cases {
-		if got := s.quantile(c.q); got != c.want {
-			t.Errorf("stage quantile(%v) = %v, want %v", c.q, got, c.want)
+	m.ObserveStage("encrypt.step1.mas", 12*time.Millisecond)
+	var b strings.Builder
+	m.Render(&b)
+	var got []string
+	for _, line := range strings.Split(b.String(), "\n") {
+		if strings.HasPrefix(line, "f2_stage_duration_seconds_") || strings.HasPrefix(line, "f2_http_request_duration_seconds_") {
+			got = append(got, line)
 		}
+	}
+	want := []string{
+		`f2_stage_duration_seconds_bucket{stage="encrypt.step1.mas",le="5e-06"} 0`,
+		`f2_stage_duration_seconds_bucket{stage="encrypt.step1.mas",le="2.5e-05"} 0`,
+		`f2_stage_duration_seconds_bucket{stage="encrypt.step1.mas",le="0.0001"} 0`,
+		`f2_stage_duration_seconds_bucket{stage="encrypt.step1.mas",le="0.0005"} 0`,
+		`f2_stage_duration_seconds_bucket{stage="encrypt.step1.mas",le="0.0025"} 0`,
+		`f2_stage_duration_seconds_bucket{stage="encrypt.step1.mas",le="0.01"} 0`,
+		`f2_stage_duration_seconds_bucket{stage="encrypt.step1.mas",le="0.05"} 1`,
+		`f2_stage_duration_seconds_bucket{stage="encrypt.step1.mas",le="0.25"} 1`,
+		`f2_stage_duration_seconds_bucket{stage="encrypt.step1.mas",le="1"} 1`,
+		`f2_stage_duration_seconds_bucket{stage="encrypt.step1.mas",le="5"} 1`,
+		`f2_stage_duration_seconds_bucket{stage="encrypt.step1.mas",le="20"} 1`,
+		`f2_stage_duration_seconds_bucket{stage="encrypt.step1.mas",le="+Inf"} 1`,
+		`f2_stage_duration_seconds_sum{stage="encrypt.step1.mas"} 0.012000`,
+		`f2_stage_duration_seconds_count{stage="encrypt.step1.mas"} 1`,
+		`f2_stage_duration_seconds_max{stage="encrypt.step1.mas"} 0.012000`,
+		`f2_stage_duration_seconds_bucket{stage="wal.fsync",le="5e-06"} 2`,
+		`f2_stage_duration_seconds_bucket{stage="wal.fsync",le="2.5e-05"} 2`,
+		`f2_stage_duration_seconds_bucket{stage="wal.fsync",le="0.0001"} 3`,
+		`f2_stage_duration_seconds_bucket{stage="wal.fsync",le="0.0005"} 3`,
+		`f2_stage_duration_seconds_bucket{stage="wal.fsync",le="0.0025"} 4`,
+		`f2_stage_duration_seconds_bucket{stage="wal.fsync",le="0.01"} 4`,
+		`f2_stage_duration_seconds_bucket{stage="wal.fsync",le="0.05"} 4`,
+		`f2_stage_duration_seconds_bucket{stage="wal.fsync",le="0.25"} 4`,
+		`f2_stage_duration_seconds_bucket{stage="wal.fsync",le="1"} 5`,
+		`f2_stage_duration_seconds_bucket{stage="wal.fsync",le="5"} 5`,
+		`f2_stage_duration_seconds_bucket{stage="wal.fsync",le="20"} 5`,
+		`f2_stage_duration_seconds_bucket{stage="wal.fsync",le="+Inf"} 6`,
+		`f2_stage_duration_seconds_sum{stage="wal.fsync"} 30.334585`,
+		`f2_stage_duration_seconds_count{stage="wal.fsync"} 6`,
+		`f2_stage_duration_seconds_max{stage="wal.fsync"} 30.000000`,
+		`f2_http_request_duration_seconds_bucket{op="create",le="0.001"} 2`,
+		`f2_http_request_duration_seconds_bucket{op="create",le="0.005"} 3`,
+		`f2_http_request_duration_seconds_bucket{op="create",le="0.025"} 4`,
+		`f2_http_request_duration_seconds_bucket{op="create",le="0.1"} 5`,
+		`f2_http_request_duration_seconds_bucket{op="create",le="0.5"} 5`,
+		`f2_http_request_duration_seconds_bucket{op="create",le="2.5"} 6`,
+		`f2_http_request_duration_seconds_bucket{op="create",le="10"} 6`,
+		`f2_http_request_duration_seconds_bucket{op="create",le="+Inf"} 7`,
+		`f2_http_request_duration_seconds_sum{op="create"} 44.549535`,
+		`f2_http_request_duration_seconds_count{op="create"} 7`,
+		`f2_http_request_duration_seconds_max{op="create"} 42.000000`,
+		`f2_http_request_duration_seconds_bucket{op="decrypt",le="0.001"} 0`,
+		`f2_http_request_duration_seconds_bucket{op="decrypt",le="0.005"} 1`,
+		`f2_http_request_duration_seconds_bucket{op="decrypt",le="0.025"} 1`,
+		`f2_http_request_duration_seconds_bucket{op="decrypt",le="0.1"} 1`,
+		`f2_http_request_duration_seconds_bucket{op="decrypt",le="0.5"} 1`,
+		`f2_http_request_duration_seconds_bucket{op="decrypt",le="2.5"} 1`,
+		`f2_http_request_duration_seconds_bucket{op="decrypt",le="10"} 1`,
+		`f2_http_request_duration_seconds_bucket{op="decrypt",le="+Inf"} 1`,
+		`f2_http_request_duration_seconds_sum{op="decrypt"} 0.003000`,
+		`f2_http_request_duration_seconds_count{op="decrypt"} 1`,
+		`f2_http_request_duration_seconds_max{op="decrypt"} 0.003000`,
+	}
+	if g, w := strings.Join(got, "\n"), strings.Join(want, "\n"); g != w {
+		t.Errorf("histogram exposition changed:\ngot:\n%s\nwant:\n%s", g, w)
 	}
 }
 
@@ -320,6 +338,41 @@ func TestRenderEveryFamilyHasHelp(t *testing.T) {
 		name := strings.Fields(line)[2]
 		if i == 0 || !strings.HasPrefix(lines[i-1], "# HELP "+name+" ") {
 			t.Errorf("family %s has TYPE without preceding HELP", name)
+		}
+	}
+}
+
+// TestAPIDocListsEveryFamily renders /metrics with every family in
+// metricHelp registered and requires each rendered family to have a row
+// in docs/API.md's metrics table, so a new series cannot ship
+// undocumented.
+func TestAPIDocListsEveryFamily(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join("..", "..", "docs", "API.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewMetrics()
+	m.Observe("op", 200, time.Millisecond)        // the families Render
+	m.ObserveStage("wal.fsync", time.Millisecond) // emits on its own
+	for name := range metricHelp {
+		m.RegisterGauge(name, func() float64 { return 0 })
+	}
+	var b strings.Builder
+	m.Render(&b)
+	rendered := map[string]bool{}
+	for _, line := range strings.Split(b.String(), "\n") {
+		if strings.HasPrefix(line, "# TYPE ") {
+			rendered[strings.Fields(line)[2]] = true
+		}
+	}
+	for name := range metricHelp {
+		if !rendered[name] {
+			t.Errorf("%s has HELP text but did not render", name)
+		}
+	}
+	for name := range rendered {
+		if !strings.Contains(string(doc), "| `"+name+"` |") {
+			t.Errorf("docs/API.md has no metrics-table row for %s", name)
 		}
 	}
 }

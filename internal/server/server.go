@@ -278,6 +278,9 @@ func New(opts Options) (*Server, error) {
 		s.metrics.RegisterCounterFunc("f2_snapshot_bytes_reused_total", func() float64 {
 			return float64(s.st.SnapshotStats().BytesReused)
 		})
+		s.metrics.RegisterCounterFunc("f2_snapshot_gc_failures_total", func() float64 {
+			return float64(s.st.SnapshotStats().GCFailures)
+		})
 	}
 
 	s.mux.Handle("POST /v1/datasets", s.instrument("create_dataset", s.handleCreateDataset))
