@@ -8,6 +8,7 @@ import (
 	"f2/internal/core"
 	"f2/internal/crypt"
 	"f2/internal/mas"
+	"f2/internal/perf"
 	"f2/internal/workload"
 )
 
@@ -37,7 +38,7 @@ func RunAblations(ctx context.Context, o Options) ([]*Table, error) {
 // margin: success ≤ 1/y with y = ϖk'+k-k') at the cost of more scale
 // copies.
 func ablationSplitFactor(ctx context.Context, o Options) (*Table, error) {
-	tbl, err := dataset(workload.NameSynthetic, o.scale(33000), o.Seed)
+	tbl, err := perf.Dataset(workload.NameSynthetic, o.scale(33000), o.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -48,7 +49,7 @@ func ablationSplitFactor(ctx context.Context, o Options) (*Table, error) {
 		Notes:  []string{"§3.2.2: ϖ is user-chosen; §4.2: larger ϖ increases the ciphertext count y per ECG"},
 	}
 	for _, w := range []int{2, 3, 4, 6, 8} {
-		cfg := benchConfig(0.25)
+		cfg := perf.Config(0.25)
 		cfg.SplitFactor = w
 		res, err := encrypt(ctx, tbl, cfg)
 		if err != nil {
@@ -56,7 +57,7 @@ func ablationSplitFactor(ctx context.Context, o Options) (*Table, error) {
 		}
 		r := res.Report
 		t.AddRow(fmt.Sprint(w), fmt.Sprint(r.NumInstances), fmt.Sprint(r.ScaleRows),
-			pct(r.Overhead()), ms(r.TimeSSE))
+			perf.Pct(r.Overhead()), perf.Ms(r.TimeSSE))
 	}
 	return t, nil
 }
@@ -78,7 +79,7 @@ func ablationMASAlgorithm(ctx context.Context, o Options) (*Table, error) {
 		{workload.NameCustomer, o.scale(4000)},
 		{workload.NameSynthetic, o.scale(33000)},
 	} {
-		tbl, err := dataset(c.name, c.n, o.Seed)
+		tbl, err := perf.Dataset(c.name, c.n, o.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -92,8 +93,8 @@ func ablationMASAlgorithm(ctx context.Context, o Options) (*Table, error) {
 			return nil, fmt.Errorf("bench: MAS algorithms disagree on %s (%d vs %d sets)",
 				c.name, len(ducc.Sets), len(level.Sets))
 		}
-		t.AddRow(c.name, fmt.Sprint(c.n), ms(duccTime), fmt.Sprint(ducc.Checked),
-			ms(levelTime), fmt.Sprint(level.Checked))
+		t.AddRow(c.name, fmt.Sprint(c.n), perf.Ms(duccTime), fmt.Sprint(ducc.Checked),
+			perf.Ms(levelTime), fmt.Sprint(level.Checked))
 	}
 	return t, nil
 }
@@ -101,7 +102,7 @@ func ablationMASAlgorithm(ctx context.Context, o Options) (*Table, error) {
 // ablationPRF compares the AES-CTR and HMAC-SHA256 pseudorandom functions
 // backing the probabilistic cipher.
 func ablationPRF(ctx context.Context, o Options) (*Table, error) {
-	tbl, err := dataset(workload.NameOrders, o.scale(10000), o.Seed)
+	tbl, err := perf.Dataset(workload.NameOrders, o.scale(10000), o.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -111,14 +112,14 @@ func ablationPRF(ctx context.Context, o Options) (*Table, error) {
 		Header: []string{"prf", "SSE(ms)", "SYN(ms)", "total(ms)"},
 	}
 	for _, prf := range []crypt.PRF{crypt.PRFAESCTR, crypt.PRFHMAC} {
-		cfg := benchConfig(0.2)
+		cfg := perf.Config(0.2)
 		cfg.PRF = prf
 		res, err := encrypt(ctx, tbl, cfg)
 		if err != nil {
 			return nil, err
 		}
 		r := res.Report
-		t.AddRow(prf.String(), ms(r.TimeSSE), ms(r.TimeSYN), ms(r.TotalTime()))
+		t.AddRow(prf.String(), perf.Ms(r.TimeSSE), perf.Ms(r.TimeSYN), perf.Ms(r.TotalTime()))
 	}
 	return t, nil
 }
@@ -126,7 +127,7 @@ func ablationPRF(ctx context.Context, o Options) (*Table, error) {
 // ablationSteps disables conflict resolution and FP elimination in turn,
 // demonstrating why each step exists (Figure 3(e) and Example 3.1).
 func ablationSteps(ctx context.Context, o Options) (*Table, error) {
-	tbl, err := dataset(workload.NameSynthetic, o.scale(33000), o.Seed)
+	tbl, err := perf.Dataset(workload.NameSynthetic, o.scale(33000), o.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -145,14 +146,14 @@ func ablationSteps(ctx context.Context, o Options) (*Table, error) {
 		{"skip conflict resolution", func(c *core.Config) { c.SkipConflictResolution = true }},
 	}
 	for _, v := range variants {
-		cfg := benchConfig(0.25)
+		cfg := perf.Config(0.25)
 		v.mod(&cfg)
 		res, err := encrypt(ctx, tbl, cfg)
 		if err != nil {
 			return nil, err
 		}
 		r := res.Report
-		t.AddRow(v.name, fmt.Sprint(r.EncryptedRows), pct(r.Overhead()), ms(r.TotalTime()))
+		t.AddRow(v.name, fmt.Sprint(r.EncryptedRows), perf.Pct(r.Overhead()), perf.Ms(r.TotalTime()))
 	}
 	return t, nil
 }
@@ -174,15 +175,15 @@ func ablationSplitPoint(ctx context.Context, o Options) (*Table, error) {
 		{workload.NameSynthetic, o.scale(33000)},
 		{workload.NameOrders, o.scale(10000)},
 	} {
-		tbl, err := dataset(c.name, c.n, o.Seed)
+		tbl, err := perf.Dataset(c.name, c.n, o.Seed)
 		if err != nil {
 			return nil, err
 		}
-		opt, err := encrypt(ctx, tbl, benchConfig(0.25))
+		opt, err := encrypt(ctx, tbl, perf.Config(0.25))
 		if err != nil {
 			return nil, err
 		}
-		cfg := benchConfig(0.25)
+		cfg := perf.Config(0.25)
 		cfg.NaiveSplitPoint = true
 		naive, err := encrypt(ctx, tbl, cfg)
 		if err != nil {

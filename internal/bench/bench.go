@@ -14,10 +14,8 @@ package bench
 
 import (
 	"context"
-	"time"
 
 	"f2/internal/core"
-	"f2/internal/crypt"
 	"f2/internal/perf"
 	"f2/internal/relation"
 )
@@ -52,13 +50,6 @@ func (o Options) scale(n int) int {
 	return s
 }
 
-// benchKey returns the deterministic benchmark key (benchmarks must be
-// reproducible; production users call crypt.GenerateKey).
-func benchKey() crypt.Key { return perf.Key() }
-
-// benchConfig builds the standard benchmark config.
-func benchConfig(alpha float64) core.Config { return perf.Config(alpha) }
-
 // encrypt runs F² and returns the result, failing loudly on error.
 func encrypt(ctx context.Context, tbl *relation.Table, cfg core.Config) (*core.Result, error) {
 	enc, err := core.NewEncryptor(cfg)
@@ -67,18 +58,3 @@ func encrypt(ctx context.Context, tbl *relation.Table, cfg core.Config) (*core.R
 	}
 	return enc.Encrypt(ctx, tbl)
 }
-
-// dataset generates (or reuses the process-wide memoized copy of) a
-// workload table.
-func dataset(name string, n int, seed int64) (*relation.Table, error) {
-	return perf.Dataset(name, n, seed)
-}
-
-func ms(d time.Duration) string { return perf.Ms(d) }
-
-func pct(v float64) string { return perf.Pct(v) }
-
-func mb(bytes int64) string { return perf.MB(bytes) }
-
-// alphaLabel renders α as the paper does (1/5, 1/10, ...).
-func alphaLabel(alpha float64) string { return perf.AlphaLabel(alpha) }

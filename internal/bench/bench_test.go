@@ -4,6 +4,8 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"f2/internal/perf"
 )
 
 // tinyOptions shrinks every experiment far enough for CI.
@@ -102,13 +104,13 @@ func TestOptionsScale(t *testing.T) {
 }
 
 func TestAlphaLabel(t *testing.T) {
-	if alphaLabel(0.2) != "1/5" {
-		t.Errorf("alphaLabel(0.2) = %s", alphaLabel(0.2))
+	if perf.AlphaLabel(0.2) != "1/5" {
+		t.Errorf("perf.AlphaLabel(0.2) = %s", perf.AlphaLabel(0.2))
 	}
-	if alphaLabel(1) != "1/1" {
-		t.Errorf("alphaLabel(1) = %s", alphaLabel(1))
+	if perf.AlphaLabel(1) != "1/1" {
+		t.Errorf("perf.AlphaLabel(1) = %s", perf.AlphaLabel(1))
 	}
-	if alphaLabel(0.3) != "0.300" {
-		t.Errorf("alphaLabel(0.3) = %s", alphaLabel(0.3))
+	if perf.AlphaLabel(0.3) != "0.300" {
+		t.Errorf("perf.AlphaLabel(0.3) = %s", perf.AlphaLabel(0.3))
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"f2/internal/core"
 	"f2/internal/crypt"
 	"f2/internal/fd"
+	"f2/internal/perf"
 	"f2/internal/relation"
 	"f2/internal/workload"
 )
@@ -65,11 +66,11 @@ func RunTable1(ctx context.Context, o Options) ([]*Table, error) {
 		{workload.NameCustomer, o.scale(10000)},
 		{workload.NameSynthetic, o.scale(100000)},
 	} {
-		tbl, err := dataset(d.name, d.n, o.Seed)
+		tbl, err := perf.Dataset(d.name, d.n, o.Seed)
 		if err != nil {
 			return nil, err
 		}
-		cfg := benchConfig(0.2)
+		cfg := perf.Config(0.2)
 		enc, err := core.NewEncryptor(cfg)
 		if err != nil {
 			return nil, err
@@ -93,7 +94,7 @@ func RunTable1(ctx context.Context, o Options) ([]*Table, error) {
 			sizes = fmt.Sprintf("%d-%d attrs", min, max)
 		}
 		t.AddRow(d.name, fmt.Sprint(tbl.NumAttrs()), fmt.Sprint(tbl.NumRows()),
-			mb(tbl.ApproxBytes()), fmt.Sprint(len(res.MASs)), sizes)
+			perf.MB(tbl.ApproxBytes()), fmt.Sprint(len(res.MASs)), sizes)
 	}
 	return []*Table{t}, nil
 }
@@ -113,7 +114,7 @@ func RunFig6(ctx context.Context, o Options) ([]*Table, error) {
 			[]float64{1.0 / 5, 1.0 / 10, 1.0 / 15, 1.0 / 20, 1.0 / 25}},
 	}
 	for _, c := range cases {
-		tbl, err := dataset(c.name, c.n, o.Seed)
+		tbl, err := perf.Dataset(c.name, c.n, o.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -124,12 +125,12 @@ func RunFig6(ctx context.Context, o Options) ([]*Table, error) {
 			Notes:  []string{"paper: time ~flat in α; SSE grows slightly as α shrinks"},
 		}
 		for _, a := range c.alphas {
-			res, err := encrypt(ctx, tbl, benchConfig(a))
+			res, err := encrypt(ctx, tbl, perf.Config(a))
 			if err != nil {
 				return nil, err
 			}
 			r := res.Report
-			t.AddRow(alphaLabel(a), ms(r.TimeMAX), ms(r.TimeSSE), ms(r.TimeSYN), ms(r.TimeFP), ms(r.TotalTime()))
+			t.AddRow(perf.AlphaLabel(a), perf.Ms(r.TimeMAX), perf.Ms(r.TimeSSE), perf.Ms(r.TimeSYN), perf.Ms(r.TimeFP), perf.Ms(r.TotalTime()))
 		}
 		out = append(out, t)
 	}
@@ -153,22 +154,22 @@ func RunFig7(ctx context.Context, o Options) ([]*Table, error) {
 	for _, c := range cases {
 		t := &Table{
 			ID:     c.id,
-			Title:  fmt.Sprintf("Time per step vs data size (%s, α=%s)", c.name, alphaLabel(c.alpha)),
+			Title:  fmt.Sprintf("Time per step vs data size (%s, α=%s)", c.name, perf.AlphaLabel(c.alpha)),
 			Header: []string{"rows", "MB", "MAX(ms)", "SSE(ms)", "SYN(ms)", "FP(ms)", "total(ms)"},
 			Notes:  []string{"paper: all steps grow with size; SSE superlinear on synthetic"},
 		}
 		for _, n := range c.sizes {
-			tbl, err := dataset(c.name, n, o.Seed)
+			tbl, err := perf.Dataset(c.name, n, o.Seed)
 			if err != nil {
 				return nil, err
 			}
-			res, err := encrypt(ctx, tbl, benchConfig(c.alpha))
+			res, err := encrypt(ctx, tbl, perf.Config(c.alpha))
 			if err != nil {
 				return nil, err
 			}
 			r := res.Report
-			t.AddRow(fmt.Sprint(n), mb(tbl.ApproxBytes()),
-				ms(r.TimeMAX), ms(r.TimeSSE), ms(r.TimeSYN), ms(r.TimeFP), ms(r.TotalTime()))
+			t.AddRow(fmt.Sprint(n), perf.MB(tbl.ApproxBytes()),
+				perf.Ms(r.TimeMAX), perf.Ms(r.TimeSSE), perf.Ms(r.TimeSYN), perf.Ms(r.TimeFP), perf.Ms(r.TotalTime()))
 		}
 		out = append(out, t)
 	}
@@ -185,7 +186,7 @@ func RunFig8(ctx context.Context, o Options) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	det, err := crypt.NewDetCipher(benchKey())
+	det, err := crypt.NewDetCipher(perf.Key())
 	if err != nil {
 		return nil, err
 	}
@@ -201,7 +202,7 @@ func RunFig8(ctx context.Context, o Options) ([]*Table, error) {
 	for _, c := range cases {
 		t := &Table{
 			ID:     c.id,
-			Title:  fmt.Sprintf("F² vs AES vs Paillier (%s, α=%s)", c.name, alphaLabel(c.alpha)),
+			Title:  fmt.Sprintf("F² vs AES vs Paillier (%s, α=%s)", c.name, perf.AlphaLabel(c.alpha)),
 			Header: []string{"rows", "F2(ms)", "AES(ms)", "Paillier(ms)"},
 			Notes: []string{
 				"paper: AES < F² << Paillier (log scale); Paillier DNF beyond 0.653GB",
@@ -209,11 +210,11 @@ func RunFig8(ctx context.Context, o Options) ([]*Table, error) {
 			},
 		}
 		for _, n := range c.sizes {
-			tbl, err := dataset(c.name, n, o.Seed)
+			tbl, err := perf.Dataset(c.name, n, o.Seed)
 			if err != nil {
 				return nil, err
 			}
-			res, err := encrypt(ctx, tbl, benchConfig(c.alpha))
+			res, err := encrypt(ctx, tbl, perf.Config(c.alpha))
 			if err != nil {
 				return nil, err
 			}
@@ -225,7 +226,7 @@ func RunFig8(ctx context.Context, o Options) ([]*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			t.AddRow(fmt.Sprint(n), ms(res.Report.TotalTime()), ms(aesTime), ms(pailTime))
+			t.AddRow(fmt.Sprint(n), perf.Ms(res.Report.TotalTime()), perf.Ms(aesTime), perf.Ms(pailTime))
 		}
 		out = append(out, t)
 	}
@@ -260,7 +261,7 @@ func RunFig9(ctx context.Context, o Options) ([]*Table, error) {
 	}
 	alphas := []float64{1, 1.0 / 2, 1.0 / 3, 1.0 / 4, 1.0 / 5, 1.0 / 6, 1.0 / 7, 1.0 / 8, 1.0 / 9, 1.0 / 10}
 	for _, c := range alphaCases {
-		tbl, err := dataset(c.name, c.n, o.Seed)
+		tbl, err := perf.Dataset(c.name, c.n, o.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -271,15 +272,15 @@ func RunFig9(ctx context.Context, o Options) ([]*Table, error) {
 			Notes:  []string{"paper: GROUP and FP dominate; overhead grows as α shrinks"},
 		}
 		for _, a := range alphas {
-			res, err := encrypt(ctx, tbl, benchConfig(a))
+			res, err := encrypt(ctx, tbl, perf.Config(a))
 			if err != nil {
 				return nil, err
 			}
 			r := res.Report
-			t.AddRow(alphaLabel(a),
-				pct(r.OverheadBy(r.GroupRows)), pct(r.OverheadBy(r.ScaleRows)),
-				pct(r.OverheadBy(r.ConflictRows)), pct(r.OverheadBy(r.FPRows)),
-				pct(r.Overhead()))
+			t.AddRow(perf.AlphaLabel(a),
+				perf.Pct(r.OverheadBy(r.GroupRows)), perf.Pct(r.OverheadBy(r.ScaleRows)),
+				perf.Pct(r.OverheadBy(r.ConflictRows)), perf.Pct(r.OverheadBy(r.FPRows)),
+				perf.Pct(r.Overhead()))
 		}
 		out = append(out, t)
 	}
@@ -296,24 +297,24 @@ func RunFig9(ctx context.Context, o Options) ([]*Table, error) {
 	for _, c := range sizeCases {
 		t := &Table{
 			ID:     c.id,
-			Title:  fmt.Sprintf("Space overhead by step vs data size (%s, α=%s)", c.name, alphaLabel(c.alpha)),
+			Title:  fmt.Sprintf("Space overhead by step vs data size (%s, α=%s)", c.name, perf.AlphaLabel(c.alpha)),
 			Header: []string{"rows", "GROUP", "SCALE", "SYN", "FP", "total"},
 			Notes:  []string{"paper: Customer overhead shrinks with size (FP rows are size-independent); Orders grows (EC collisions grow)"},
 		}
 		for _, n := range c.sizes {
-			tbl, err := dataset(c.name, n, o.Seed)
+			tbl, err := perf.Dataset(c.name, n, o.Seed)
 			if err != nil {
 				return nil, err
 			}
-			res, err := encrypt(ctx, tbl, benchConfig(c.alpha))
+			res, err := encrypt(ctx, tbl, perf.Config(c.alpha))
 			if err != nil {
 				return nil, err
 			}
 			r := res.Report
 			t.AddRow(fmt.Sprint(n),
-				pct(r.OverheadBy(r.GroupRows)), pct(r.OverheadBy(r.ScaleRows)),
-				pct(r.OverheadBy(r.ConflictRows)), pct(r.OverheadBy(r.FPRows)),
-				pct(r.Overhead()))
+				perf.Pct(r.OverheadBy(r.GroupRows)), perf.Pct(r.OverheadBy(r.ScaleRows)),
+				perf.Pct(r.OverheadBy(r.ConflictRows)), perf.Pct(r.OverheadBy(r.FPRows)),
+				perf.Pct(r.Overhead()))
 		}
 		out = append(out, t)
 	}
@@ -334,7 +335,7 @@ func RunFig10(ctx context.Context, o Options) ([]*Table, error) {
 	}
 	alphas := []float64{1.0 / 2, 1.0 / 4, 1.0 / 6, 1.0 / 8, 1.0 / 10}
 	for _, c := range cases {
-		tbl, err := dataset(c.name, c.n, o.Seed)
+		tbl, err := perf.Dataset(c.name, c.n, o.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -343,12 +344,12 @@ func RunFig10(ctx context.Context, o Options) ([]*Table, error) {
 		baseTime := time.Since(baseStart)
 		t := &Table{
 			ID:     c.id,
-			Title:  fmt.Sprintf("FD discovery overhead on Dˆ vs D (%s, n=%d, TANE on D: %s ms)", c.name, c.n, ms(baseTime)),
+			Title:  fmt.Sprintf("FD discovery overhead on Dˆ vs D (%s, n=%d, TANE on D: %s ms)", c.name, c.n, perf.Ms(baseTime)),
 			Header: []string{"alpha", "TANE(D)(ms)", "TANE(Dˆ)(ms)", "overhead", "FDs preserved"},
 			Notes:  []string{"paper: overhead ≤ 0.4 (Customer) / 0.35 (Orders), growing as α shrinks"},
 		}
 		for _, a := range alphas {
-			res, err := encrypt(ctx, tbl, benchConfig(a))
+			res, err := encrypt(ctx, tbl, perf.Config(a))
 			if err != nil {
 				return nil, err
 			}
@@ -359,7 +360,7 @@ func RunFig10(ctx context.Context, o Options) ([]*Table, error) {
 			if !plainFDs.Equal(cipherFDs) {
 				preserved = fmt.Sprintf("NO (%d vs %d)", plainFDs.Len(), cipherFDs.Len())
 			}
-			t.AddRow(alphaLabel(a), ms(baseTime), ms(encTime),
+			t.AddRow(perf.AlphaLabel(a), perf.Ms(baseTime), perf.Ms(encTime),
 				fmt.Sprintf("%.3f", float64(encTime-baseTime)/float64(baseTime)), preserved)
 		}
 		out = append(out, t)
@@ -390,19 +391,19 @@ func RunLocalVsOutsource(ctx context.Context, o Options) ([]*Table, error) {
 		{workload.NameCustomer, o.scale(4000)},
 		{workload.NameOrders, o.scale(20000)},
 	} {
-		tbl, err := dataset(c.name, c.n, o.Seed)
+		tbl, err := perf.Dataset(c.name, c.n, o.Seed)
 		if err != nil {
 			return nil, err
 		}
 		tStart := time.Now()
 		fd.Discover(tbl)
 		taneTime := time.Since(tStart)
-		res, err := encrypt(ctx, tbl, benchConfig(0.25))
+		res, err := encrypt(ctx, tbl, perf.Config(0.25))
 		if err != nil {
 			return nil, err
 		}
 		encTime := res.Report.TotalTime()
-		t.AddRow(c.name, fmt.Sprint(c.n), ms(taneTime), ms(encTime),
+		t.AddRow(c.name, fmt.Sprint(c.n), perf.Ms(taneTime), perf.Ms(encTime),
 			fmt.Sprintf("%.2fx", float64(taneTime)/float64(encTime)))
 	}
 	return []*Table{t}, nil
@@ -427,7 +428,7 @@ func RunSecurity(ctx context.Context, o Options) ([]*Table, error) {
 		tbl    *relation.Table
 		column string
 	}
-	ordersTbl, err := dataset(workload.NameOrders, o.scale(8000), o.Seed)
+	ordersTbl, err := perf.Dataset(workload.NameOrders, o.scale(8000), o.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -440,7 +441,7 @@ func RunSecurity(ctx context.Context, o Options) ([]*Table, error) {
 		attr := tbl.Schema().Lookup(c.column)
 		blind := 1.0 / float64(tbl.DistinctCount(attr))
 		// Deterministic baseline.
-		det, err := crypt.NewDetCipher(benchKey())
+		det, err := crypt.NewDetCipher(perf.Key())
 		if err != nil {
 			return nil, err
 		}
@@ -466,7 +467,7 @@ func RunSecurity(ctx context.Context, o Options) ([]*Table, error) {
 			fmt.Sprintf("%.3f", fm.Rate()), fmt.Sprintf("%.3f", kk.Rate()), "none")
 
 		for _, alpha := range []float64{1.0 / 2, 1.0 / 5, 1.0 / 10} {
-			cfg := benchConfig(alpha)
+			cfg := perf.Config(alpha)
 			res, err := encrypt(ctx, tbl, cfg)
 			if err != nil {
 				return nil, err
@@ -490,7 +491,7 @@ func RunSecurity(ctx context.Context, o Options) ([]*Table, error) {
 				bound = blind
 				suffix = " (floor)"
 			}
-			t.AddRow(c.name, c.column, "F2", alphaLabel(alpha),
+			t.AddRow(c.name, c.column, "F2", perf.AlphaLabel(alpha),
 				fmt.Sprintf("%.3f", fm.Rate()), fmt.Sprintf("%.3f", kk.Rate()),
 				fmt.Sprintf("≤%.3f%s", bound, suffix))
 		}

@@ -9,6 +9,7 @@ import (
 	"f2/internal/core"
 	"f2/internal/mas"
 	"f2/internal/partition"
+	"f2/internal/perf"
 	"f2/internal/relation"
 	"f2/internal/workload"
 )
@@ -27,7 +28,7 @@ func RunUpdates(ctx context.Context, o Options) ([]*Table, error) {
 	if perBatch < 1 {
 		perBatch = 1
 	}
-	tbl, err := dataset(workload.NameSynthetic, base+1, o.Seed) // +1: distinct cache key vs other experiments
+	tbl, err := perf.Dataset(workload.NameSynthetic, base+1, o.Seed) // +1: distinct cache key vs other experiments
 	if err != nil {
 		return nil, err
 	}
@@ -58,7 +59,7 @@ func RunUpdates(ctx context.Context, o Options) ([]*Table, error) {
 		{"buffered-rebuild", core.UpdateRebuild, false},
 		{"per-row-rebuild", core.UpdateRebuild, true},
 	} {
-		u, _, err := core.NewUpdater(ctx, benchConfig(0.25), tbl)
+		u, _, err := core.NewUpdater(ctx, perf.Config(0.25), tbl)
 		if err != nil {
 			return nil, err
 		}
@@ -98,7 +99,7 @@ func RunUpdates(ctx context.Context, o Options) ([]*Table, error) {
 		elapsed := time.Since(start)
 		t.AddRow(s.name, fmt.Sprint(flushes), fmt.Sprint(u.Rebuilds-1),
 			fmt.Sprint(u.IncrementalFlushes), fmt.Sprint(checks), fmt.Sprint(probes),
-			fmt.Sprint(reenc), ms(elapsed))
+			fmt.Sprint(reenc), perf.Ms(elapsed))
 	}
 	return []*Table{t}, nil
 }

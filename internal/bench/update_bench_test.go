@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"f2/internal/core"
+	"f2/internal/perf"
 	"f2/internal/workload"
 )
 
@@ -24,7 +25,7 @@ func benchmarkFlush(b *testing.B, strategy core.UpdateStrategy) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		u, _, err := core.NewUpdater(context.Background(), benchConfig(0.25), tbl)
+		u, _, err := core.NewUpdater(context.Background(), perf.Config(0.25), tbl)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -20,7 +20,7 @@ import (
 // here may take ds.mu or any registry mutex, because the flight recorder
 // exists precisely for the moments those locks are stuck.
 
-// flushInfo is one tracked background flush, keyed by its job in
+// flushInfo is one tracked flush job, keyed by its job in
 // Server.flushTrack.
 type flushInfo struct {
 	dataset string
@@ -28,21 +28,21 @@ type flushInfo struct {
 	started time.Time
 }
 
-// trackFlush registers a running background flush with the watchdog.
+// trackFlush registers a running flush job with the watchdog.
 func (s *Server) trackFlush(ds *Dataset, job *flushJob) {
 	s.flushMu.Lock()
 	s.flushTrack[job] = flushInfo{dataset: ds.ID, jobID: job.ID, started: time.Now()}
 	s.flushMu.Unlock()
 }
 
-// untrackFlush removes a finished background flush.
+// untrackFlush removes a finished flush job.
 func (s *Server) untrackFlush(job *flushJob) {
 	s.flushMu.Lock()
 	delete(s.flushTrack, job)
 	s.flushMu.Unlock()
 }
 
-// flushesInFlight snapshots the tracked background flushes.
+// flushesInFlight snapshots the tracked flush jobs.
 func (s *Server) flushesInFlight() []flushInfo {
 	s.flushMu.Lock()
 	out := make([]flushInfo, 0, len(s.flushTrack))

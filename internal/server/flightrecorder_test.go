@@ -80,9 +80,9 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-// hookFlush installs a fault-injection gate on background flushes:
-// every job blocks on the returned release func's channel, and entered
-// closes when the first job reaches the gate.
+// hookFlush installs a fault-injection gate on flush jobs: every job
+// blocks on the returned release func's channel, and entered closes when
+// the first job reaches the gate.
 func hookFlush(srv *Server) (entered chan struct{}, release func()) {
 	entered = make(chan struct{})
 	releaseCh := make(chan struct{})
@@ -94,26 +94,91 @@ func hookFlush(srv *Server) (entered chan struct{}, release func()) {
 	return entered, func() { releaseOnce.Do(func() { close(releaseCh) }) }
 }
 
-// startHungFlush creates a dataset, schedules a background flush, and
-// returns once the flush is blocked inside the fault-injection hook.
-func startHungFlush(t *testing.T, srv *Server, ts *httptest.Server) (id string, release func()) {
+// flushTrigger is how startHungFlush sets its flush off.
+type flushTrigger string
+
+const (
+	// byAppend: an append that crosses the auto-flush threshold.
+	byAppend flushTrigger = "append"
+	// byWait: POST /flush?wait=1, issued from a goroutine because it
+	// blocks until the flush finishes.
+	byWait flushTrigger = "wait"
+)
+
+var flushTriggers = []flushTrigger{byAppend, byWait}
+
+// createBuffered creates a dataset whose appends stay pending: with a
+// 0.9 flush fraction, a couple of rows never cross the auto-flush
+// threshold.
+func createBuffered(t *testing.T, base string) string {
 	t.Helper()
-	entered, release := hookFlush(srv)
+	resp, body := doJSON(t, http.MethodPost, base+"/v1/datasets", map[string]any{
+		"columns":       []string{"G", "ID"},
+		"rows":          [][]string{{"g1", "id1"}, {"g1", "id2"}, {"g1", "id3"}, {"g2", "id4"}, {"g2", "id5"}},
+		"alpha":         0.25,
+		"keySeed":       "server-test-key",
+		"flushFraction": 0.9,
+	})
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create: status %d, body %s", resp.StatusCode, body)
+	}
+	var created struct {
+		Dataset Summary `json:"dataset"`
+	}
+	if err := json.Unmarshal(body, &created); err != nil {
+		t.Fatal(err)
+	}
+	return created.Dataset.ID
+}
+
+// startHungFlush creates a dataset, sets a flush off by trigger, and
+// returns once the flush is blocked inside the fault-injection hook.
+// release unblocks it; under byWait it also waits for the ?wait=1 answer
+// and fails the test unless it is 200.
+func startHungFlush(t *testing.T, srv *Server, ts *httptest.Server, trigger flushTrigger) (id string, release func()) {
+	t.Helper()
+	entered, unblock := hookFlush(srv)
 	rows := [][]string{
 		{"g1", "id1"}, {"g1", "id2"}, {"g1", "id3"},
 		{"g2", "id4"}, {"g2", "id5"},
 	}
-	id = createDataset(t, ts.URL, []string{"G", "ID"}, rows)
+	if trigger == byWait {
+		id = createBuffered(t, ts.URL)
+	} else {
+		id = createDataset(t, ts.URL, []string{"G", "ID"}, rows)
+	}
 	resp, body := doJSON(t, http.MethodPost, ts.URL+"/v1/datasets/"+id+"/rows",
 		map[string]any{"rows": [][]string{{"g1", "id6"}, {"g2", "id7"}}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("append: status %d, body %s", resp.StatusCode, body)
 	}
+	release = unblock
+	if trigger == byWait {
+		waited := make(chan string, 1)
+		go func() {
+			resp, err := http.Post(ts.URL+"/v1/datasets/"+id+"/flush?wait=1", "application/json", nil)
+			if err != nil {
+				waited <- err.Error()
+				return
+			}
+			resp.Body.Close()
+			waited <- resp.Status
+		}()
+		var once sync.Once
+		release = func() {
+			once.Do(func() {
+				unblock()
+				if got := <-waited; got != "200 OK" {
+					t.Errorf("flush?wait=1 answered %s, want 200 OK", got)
+				}
+			})
+		}
+	}
 	select {
 	case <-entered:
 	case <-time.After(5 * time.Second):
 		release()
-		t.Fatal("background flush never reached the fault-injection hook")
+		t.Fatalf("flush set off by %s never reached the fault-injection hook", trigger)
 	}
 	return id, release
 }
@@ -127,56 +192,81 @@ func readyzStatus(t *testing.T, base string) int {
 
 // TestReadyzFlipsUnreadyDuringDrain is the graceful-shutdown contract:
 // /readyz answers 200 while serving, flips to 503 the moment Close
-// begins draining (while an in-flight background flush is still
-// finishing), and stays unready after shutdown completes.
+// begins draining (while an in-flight flush is still finishing), and
+// stays unready after shutdown completes. Close waits out the flush
+// whichever way it was set off, and a ?wait=1 that would have to start a
+// new flush during the drain answers 503.
 func TestReadyzFlipsUnreadyDuringDrain(t *testing.T) {
-	srv, ts, _ := newFlightServer(t, t.TempDir(), nil)
-	if got := readyzStatus(t, ts.URL); got != http.StatusOK {
-		t.Fatalf("/readyz before shutdown: status %d, want 200", got)
-	}
+	for _, trigger := range flushTriggers {
+		t.Run(string(trigger), func(t *testing.T) {
+			srv, ts, _ := newFlightServer(t, t.TempDir(), nil)
+			if got := readyzStatus(t, ts.URL); got != http.StatusOK {
+				t.Fatalf("/readyz before shutdown: status %d, want 200", got)
+			}
+			// A second dataset with a row pending and no flush running.
+			idle := createBuffered(t, ts.URL)
+			resp, body := doJSON(t, http.MethodPost, ts.URL+"/v1/datasets/"+idle+"/rows",
+				map[string]any{"rows": [][]string{{"g3", "id8"}}})
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("append: status %d, body %s", resp.StatusCode, body)
+			}
 
-	_, release := startHungFlush(t, srv, ts)
-	closed := make(chan struct{})
-	go func() {
-		srv.Close()
-		close(closed)
-	}()
+			_, release := startHungFlush(t, srv, ts, trigger)
+			defer release()
+			closed := make(chan struct{})
+			go func() {
+				srv.Close()
+				close(closed)
+			}()
 
-	// Close is blocked in flushWG.Wait on the hung flush; readiness must
-	// already be down while the drain waits.
-	waitFor(t, 5*time.Second, "/readyz to flip unready", func() bool {
-		return readyzStatus(t, ts.URL) == http.StatusServiceUnavailable
-	})
-	select {
-	case <-closed:
-		t.Fatal("Close returned while a background flush was still hung")
-	default:
-	}
+			// Close is blocked in flushWG.Wait on the hung flush; readiness
+			// must already be down while the drain waits.
+			waitFor(t, 5*time.Second, "/readyz to flip unready", func() bool {
+				return readyzStatus(t, ts.URL) == http.StatusServiceUnavailable
+			})
+			resp, body = doJSON(t, http.MethodPost, ts.URL+"/v1/datasets/"+idle+"/flush?wait=1", nil)
+			if resp.StatusCode != http.StatusServiceUnavailable {
+				t.Errorf("flush?wait=1 during drain: status %d, body %s, want 503", resp.StatusCode, body)
+			}
+			select {
+			case <-closed:
+				t.Fatal("Close returned while a flush was still hung")
+			default:
+			}
 
-	release()
-	select {
-	case <-closed:
-	case <-time.After(10 * time.Second):
-		t.Fatal("Close did not finish after the flush was released")
-	}
-	if got := readyzStatus(t, ts.URL); got != http.StatusServiceUnavailable {
-		t.Fatalf("/readyz after shutdown: status %d, want 503", got)
+			release()
+			select {
+			case <-closed:
+			case <-time.After(10 * time.Second):
+				t.Fatal("Close did not finish after the flush was released")
+			}
+			if got := readyzStatus(t, ts.URL); got != http.StatusServiceUnavailable {
+				t.Fatalf("/readyz after shutdown: status %d, want 503", got)
+			}
+		})
 	}
 }
 
 // TestWatchdogCapturesFlushStall is the flight-recorder acceptance path:
-// a fault-injected hung background flush must trip the watchdog — an
-// incident lands in the on-disk ring with a goroutine dump and the
-// flush's open span tree, f2_watchdog_stalls_total increments, an ERROR
-// hits the log — and /v1/debug/health reports the flush component
-// failing, then recovers once the flush completes.
+// a fault-injected hung flush must trip the watchdog — an incident lands
+// in the on-disk ring with a goroutine dump and the flush's open span
+// tree, f2_watchdog_stalls_total increments, an ERROR hits the log — and
+// /v1/debug/health reports the flush component failing, then recovers
+// once the flush completes. It holds for an auto-flush and for a
+// ?wait=1 flush alike, since both run as the same flush job.
 func TestWatchdogCapturesFlushStall(t *testing.T) {
+	for _, trigger := range flushTriggers {
+		t.Run(string(trigger), func(t *testing.T) { testWatchdogCapturesFlushStall(t, trigger) })
+	}
+}
+
+func testWatchdogCapturesFlushStall(t *testing.T, trigger flushTrigger) {
 	srv, ts, logs := newFlightServer(t, t.TempDir(), func(o *Options) {
 		o.FlushStallAfter = 50 * time.Millisecond
 		o.WatchdogEvery = 10 * time.Millisecond
 		o.SlowRequestThreshold = -1 // isolate: only the stall writes incidents
 	})
-	_, release := startHungFlush(t, srv, ts)
+	_, release := startHungFlush(t, srv, ts, trigger)
 	defer release()
 
 	componentStatus := func(name string) string {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"net/http"
 
@@ -19,11 +20,17 @@ import (
 // flight. Flushes are single-flight per dataset (ds.curFlush); callers
 // that find one running join it instead of queueing a second.
 //
-// POST /v1/datasets/{id}/flush is asynchronous by default: it starts (or
-// joins) the background job and answers 202 with a job id the client
-// polls via GET /v1/datasets/{id}/flush/{jobID}. ?wait=1 preserves the
-// old synchronous contract — block until the dataset has no pending
-// rows, running the flush inline under the request's trace.
+// One code path runs every flush: a job started by
+// startBackgroundFlushLocked and driven by runBackgroundFlush, whether an
+// append crossed the auto-flush threshold or a client asked.
+// POST /v1/datasets/{id}/flush starts (or joins) that job and answers 202
+// with a job id the client polls via GET /v1/datasets/{id}/flush/{jobID};
+// ?wait=1 waits for the job instead, looping until no rows are pending.
+// Because a waiting request only joins the job, a client that disconnects
+// gets 499 while the flush still commits; a ?wait=1 that would start a
+// flush during drain gets 503; and the watchdog, the flush health
+// component, and Close's drain see every flush. The flush's span tree is
+// the trace GET /v1/debug/traces/{flushJobId} returns.
 
 // flushJob is one flush's lifecycle handle. All result fields are set
 // before done is closed and never written after, so any goroutine that
@@ -81,48 +88,73 @@ func finishFlushLocked(ds *Dataset, job *flushJob, err error, summary Summary, r
 }
 
 // startBackgroundFlushLocked starts (or joins) the dataset's
-// single-flight background flush. Caller holds ds.mu. Returns nil when
-// there is nothing to flush, the dataset is deleted, or the server is
-// draining — new flush work must not start once shutdown began, or Close
-// could never finish waiting.
+// single-flight flush job. Caller holds ds.mu. Returns nil when there is
+// nothing to flush, the dataset is deleted, or the server is draining —
+// new flush work must not start once shutdown began, or Close could never
+// finish waiting.
 func (s *Server) startBackgroundFlushLocked(ds *Dataset) *flushJob {
 	if ds.curFlush != nil {
 		return ds.curFlush
 	}
-	if ds.deleted || s.draining.Load() {
-		return nil
-	}
-	plan, err := ds.upd.BeginFlush()
-	if err != nil || plan == nil {
-		// ErrFlushInFlight cannot happen — curFlush is nil and every plan
-		// holder also holds the curFlush slot — so this is "no pending rows".
+	if ds.deleted || s.draining.Load() || ds.upd.Pending() == 0 {
 		return nil
 	}
 	job := &flushJob{ID: newFlushJobID(), done: make(chan struct{})}
 	ds.curFlush = job
 	registerFlushJobLocked(ds, job)
 	s.flushWG.Add(1)
-	go s.runBackgroundFlush(ds, plan, job)
+	go s.runBackgroundFlush(ds, job)
 	return job
 }
 
-// runBackgroundFlush drives one background flush job to completion. It
-// owns its own trace (op "flush_background") since no request is
-// attached; the trace lands in the debug ring and stage histograms like
-// any request trace.
-func (s *Server) runBackgroundFlush(ds *Dataset, plan *core.FlushPlan, job *flushJob) {
+// runBackgroundFlush drives one flush job to completion. It is the only
+// code that runs the Begin → Run → Complete/Abort protocol, so every
+// flush — auto-triggered, 202, or ?wait=1 — gets the watchdog, the
+// fault-injection hook, the Close drain, and one trace with the job's id
+// (op "flush_background").
+func (s *Server) runBackgroundFlush(ds *Dataset, job *flushJob) {
 	defer s.flushWG.Done()
 	s.trackFlush(ds, job)
 	defer s.untrackFlush(job)
-	ctx, tr := obs.NewTrace(s.lifecycle, "", "flush_background")
+	ctx, tr := obs.NewTrace(s.lifecycle, job.ID, "flush_background")
 	untrack := s.traces.Track(tr)
-	defer func() {
+	// finish retains the trace before publishing the outcome, so a client
+	// woken by job.done finds the flush's span tree and stage timings.
+	finish := func(res *core.Result, mode core.FlushMode, err error) {
 		tr.Finish()
 		untrack()
 		snap := tr.Snapshot()
 		s.traces.Add(snap)
 		snap.EachSpan(s.metrics.ObserveStage)
-	}()
+
+		ds.Lock()
+		defer ds.Unlock()
+		summary := ds.refreshSummaryLocked()
+		if err != nil {
+			finishFlushLocked(ds, job, err, summary, reportJSON{}, "")
+			return
+		}
+		rep := reportToJSON(ds.upd.Current().Schema(), &res.Report)
+		finishFlushLocked(ds, job, nil, summary, rep, mode)
+		// Appends that landed during the encrypt may already justify the
+		// next flush; chain it instead of waiting for the next append.
+		if ds.upd.ShouldFlush() {
+			s.startBackgroundFlushLocked(ds)
+		}
+	}
+
+	ds.Lock()
+	plan, err := ds.upd.BeginFlush()
+	ds.Unlock()
+	if plan == nil && err == nil {
+		// Unreachable: the job started with rows pending and holds the
+		// single-flight slot, so no other flush can have taken them.
+		err = errors.New("no pending rows to flush")
+	}
+	if err != nil {
+		finish(nil, "", err)
+		return
+	}
 
 	run := plan.Run
 	if h := s.testFlushHook; h != nil {
@@ -131,26 +163,23 @@ func (s *Server) runBackgroundFlush(ds *Dataset, plan *core.FlushPlan, job *flus
 			return plan.Run(jc)
 		}
 	}
-	runErr := s.pool.Run(ctx, run)
-	if runErr != nil {
+	if err := s.pool.Run(ctx, run); err != nil {
 		ds.Lock()
 		ds.upd.AbortFlush(plan)
-		summary := ds.refreshSummaryLocked()
-		finishFlushLocked(ds, job, runErr, summary, reportJSON{}, "")
 		ds.Unlock()
 		// Not an Error-level event: the rows stay durably pending (WAL +
 		// buffer) and the next flush retries them.
-		s.logf("dataset %s: background flush failed, rows stay pending: %v", ds.ID, runErr)
+		s.logf("dataset %s: flush failed, rows stay pending: %v", ds.ID, err)
+		finish(nil, "", err)
 		return
 	}
 
 	ds.Lock()
 	res, err := ds.upd.CompleteFlush(plan)
 	if err != nil {
-		summary := ds.refreshSummaryLocked()
-		finishFlushLocked(ds, job, err, summary, reportJSON{}, "")
 		ds.Unlock()
-		s.logf("dataset %s: committing background flush: %v", ds.ID, err)
+		s.logf("dataset %s: committing flush: %v", ds.ID, err)
+		finish(nil, "", err)
 		return
 	}
 	mode := ds.upd.LastFlush
@@ -167,77 +196,22 @@ func (s *Server) runBackgroundFlush(ds *Dataset, plan *core.FlushPlan, job *flus
 			s.logf("dataset %s: persisting post-flush snapshot: %v", ds.ID, err)
 		}
 	}
-
-	ds.Lock()
-	summary := ds.refreshSummaryLocked()
-	rep := reportToJSON(ds.upd.Current().Schema(), &res.Report)
-	finishFlushLocked(ds, job, nil, summary, rep, mode)
-	// Appends that landed during the encrypt may already justify the next
-	// flush; chain it instead of waiting for the next append to notice.
-	if ds.upd.ShouldFlush() {
-		s.startBackgroundFlushLocked(ds)
-	}
-	ds.Unlock()
+	finish(res, mode, nil)
 }
 
+// handleFlush is POST /v1/datasets/{id}/flush. With nothing pending and
+// no job running it answers 200 at once. Otherwise it starts (or joins)
+// the dataset's flush job: without ?wait=1 it answers 202 with the job
+// id; with ?wait=1 it waits for the job and loops until no rows are
+// pending, answering 200 with the last job's id and mode, or that job's
+// error.
 func (s *Server) handleFlush(w http.ResponseWriter, r *http.Request) {
 	ds, ok := s.dataset(w, r)
 	if !ok {
 		return
 	}
-	if r.URL.Query().Get("wait") == "1" {
-		s.handleFlushWait(w, r, ds)
-		return
-	}
-	ds.Lock()
-	if ds.deleted {
-		ds.Unlock()
-		writeError(w, http.StatusNotFound, "no dataset %q", ds.ID)
-		return
-	}
-	if err := s.hydrateLocked(r.Context(), ds); err != nil {
-		ds.Unlock()
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	job := ds.curFlush
-	if job == nil && ds.upd.Pending() == 0 {
-		// Nothing to do: answer synchronously like the old no-op flush.
-		summary := ds.refreshSummaryLocked()
-		res := ds.upd.Result()
-		rep := reportToJSON(ds.upd.Current().Schema(), &res.Report)
-		ds.Unlock()
-		resp := map[string]any{"dataset": summary, "report": rep}
-		inlineTrace(r, resp)
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	if job == nil {
-		job = s.startBackgroundFlushLocked(ds)
-	}
-	ds.Unlock()
-	if job == nil {
-		writeError(w, http.StatusServiceUnavailable, "server is shutting down")
-		return
-	}
-	w.Header().Set("Location", fmt.Sprintf("/v1/datasets/%s/flush/%s", ds.ID, job.ID))
-	resp := map[string]any{
-		"flushJobId": job.ID,
-		"status":     "running",
-		"dataset":    ds.Summary(),
-	}
-	inlineTrace(r, resp)
-	writeJSON(w, http.StatusAccepted, resp)
-}
-
-// handleFlushWait is POST /flush?wait=1: block until the dataset has no
-// pending rows (joining any background job first), running the flush
-// inline in the worker pool under the request's own trace. This is the
-// pre-async contract, kept for tests, scripts, and clients that want
-// flush-then-read without polling.
-func (s *Server) handleFlushWait(w http.ResponseWriter, r *http.Request, ds *Dataset) {
-	var lastMode core.FlushMode
-	flushed := false
+	wait := r.URL.Query().Get("wait") == "1"
+	var last *flushJob
 	for {
 		ds.Lock()
 		if ds.deleted {
@@ -250,94 +224,52 @@ func (s *Server) handleFlushWait(w http.ResponseWriter, r *http.Request, ds *Dat
 			writeError(w, http.StatusInternalServerError, "%v", err)
 			return
 		}
-		if job := ds.curFlush; job != nil {
-			ds.Unlock()
-			select {
-			case <-job.done:
-				if job.err == nil {
-					lastMode, flushed = job.mode, true
-				}
-				continue // re-check: more rows may be pending by now
-			case <-r.Context().Done():
-				writeError(w, s.errStatus(r, r.Context().Err()), "waiting for flush: %v", r.Context().Err())
-				return
-			}
-		}
-		if ds.upd.Pending() == 0 {
+		if ds.curFlush == nil && ds.upd.Pending() == 0 {
 			summary := ds.refreshSummaryLocked()
 			res := ds.upd.Result()
 			rep := reportToJSON(ds.upd.Current().Schema(), &res.Report)
 			ds.Unlock()
 			resp := map[string]any{"dataset": summary, "report": rep}
-			if flushed {
-				// Only a flush that actually ran reports its mode; a no-op
-				// flush would otherwise echo the previous flush's mode.
-				resp["flushMode"] = string(lastMode)
+			if last != nil {
+				// Only a flush this request waited on reports its mode; a
+				// no-op flush would otherwise echo the previous flush's.
+				resp["flushJobId"] = last.ID
+				resp["flushMode"] = string(last.mode)
 			}
 			inlineTrace(r, resp)
 			writeJSON(w, http.StatusOK, resp)
 			return
 		}
-
-		// Pending rows and no job running: flush inline, holding the
-		// single-flight slot so background triggers join us.
-		plan, err := ds.upd.BeginFlush()
-		if err != nil || plan == nil {
-			ds.Unlock()
-			continue // raced with a commit; re-evaluate
-		}
-		job := &flushJob{ID: newFlushJobID(), done: make(chan struct{})}
-		ds.curFlush = job
-		registerFlushJobLocked(ds, job)
+		job := s.startBackgroundFlushLocked(ds)
 		ds.Unlock()
-
-		jobCtx, cancel := s.jobContext(r.Context())
-		runErr := s.pool.Run(jobCtx, plan.Run)
-		cancel()
-		if runErr != nil {
-			ds.Lock()
-			ds.upd.AbortFlush(plan)
-			summary := ds.refreshSummaryLocked()
-			finishFlushLocked(ds, job, runErr, summary, reportJSON{}, "")
-			ds.Unlock()
-			writeError(w, s.errStatus(r, runErr), "flushing: %v", runErr)
+		if job == nil {
+			writeError(w, http.StatusServiceUnavailable, "server is shutting down")
 			return
 		}
-		ds.Lock()
-		res, err := ds.upd.CompleteFlush(plan)
-		if err != nil {
-			summary := ds.refreshSummaryLocked()
-			finishFlushLocked(ds, job, err, summary, reportJSON{}, "")
-			ds.Unlock()
-			writeError(w, http.StatusInternalServerError, "committing flush: %v", err)
-			return
-		}
-		mode := ds.upd.LastFlush
-		rec := s.captureRecordLocked(ds)
-		ds.Unlock()
-
-		s.recordFlush(mode)
-		if rec != nil {
-			// Outside ds.mu (see runBackgroundFlush); under the request's
-			// context so the snapshot spans land in this trace.
-			if err := s.st.SaveSnapshot(r.Context(), rec); err != nil {
-				s.logf("dataset %s: persisting post-flush snapshot: %v", ds.ID, err)
+		if !wait {
+			w.Header().Set("Location", fmt.Sprintf("/v1/datasets/%s/flush/%s", ds.ID, job.ID))
+			resp := map[string]any{
+				"flushJobId": job.ID,
+				"status":     "running",
+				"dataset":    ds.Summary(),
 			}
+			inlineTrace(r, resp)
+			writeJSON(w, http.StatusAccepted, resp)
+			return
 		}
-
-		ds.Lock()
-		summary := ds.refreshSummaryLocked()
-		rep := reportToJSON(ds.upd.Current().Schema(), &res.Report)
-		finishFlushLocked(ds, job, nil, summary, rep, mode)
-		ds.Unlock()
-		resp := map[string]any{
-			"dataset":   summary,
-			"report":    rep,
-			"flushMode": string(mode),
+		select {
+		case <-job.done:
+		case <-r.Context().Done():
+			// The job runs on without this client and commits.
+			writeError(w, s.errStatus(r, r.Context().Err()), "waiting for flush: %v", r.Context().Err())
+			return
 		}
-		inlineTrace(r, resp)
-		writeJSON(w, http.StatusOK, resp)
-		return
+		if job.err != nil {
+			// The rows stay pending, as for a failed poll.
+			writeError(w, s.errStatus(r, job.err), "flushing: %v", job.err)
+			return
+		}
+		last = job // re-check: more rows may be pending by now
 	}
 }
 

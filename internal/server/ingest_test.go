@@ -8,6 +8,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -150,8 +151,10 @@ func TestIngestBackpressure429(t *testing.T) {
 }
 
 // TestClientDisconnectIs499 pins the disconnect contract: a client that
-// is already gone when its flush needs the worker pool gets 499 (client
-// closed request), logged at WARN — not a 500 and not an ERROR record.
+// is already gone while its ?wait=1 flush queues for the worker pool gets
+// 499 (client closed request), logged at WARN — not a 500 and not an
+// ERROR record — and the flush it started still commits once the pool
+// frees up: the request only waited on the flush job, it did not own it.
 func TestClientDisconnectIs499(t *testing.T) {
 	var buf bytes.Buffer
 	logger := slog.New(slog.NewJSONHandler(&buf, nil))
@@ -188,10 +191,15 @@ func TestClientDisconnectIs499(t *testing.T) {
 		})
 	}()
 	<-started
-	defer func() {
-		close(block)
-		wg.Wait()
-	}()
+	var unblockOnce sync.Once
+	unblock := func() {
+		unblockOnce.Do(func() {
+			close(block)
+			wg.Wait()
+		})
+	}
+	defer unblock()
+	flushesBefore := flushesTotal(t, ts.URL)
 
 	// The "disconnected" client: its request context is already cancelled.
 	req := httptest.NewRequest(http.MethodPost, "/v1/datasets/"+id+"/flush?wait=1", nil)
@@ -202,6 +210,28 @@ func TestClientDisconnectIs499(t *testing.T) {
 
 	if rec.Code != StatusClientClosedRequest {
 		t.Fatalf("disconnected flush: status %d, body %s, want 499", rec.Code, rec.Body.String())
+	}
+
+	// Free the worker: the flush the departed client started commits.
+	unblock()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		_, body := doJSON(t, http.MethodGet, ts.URL+"/v1/datasets/"+id, nil)
+		var got struct {
+			Dataset Summary `json:"dataset"`
+		}
+		if err := json.Unmarshal(body, &got); err != nil {
+			t.Fatal(err)
+		}
+		flushes := flushesTotal(t, ts.URL)
+		if got.Dataset.PendingRows == 0 && flushes == flushesBefore+1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("flush of a departed client never committed: pendingRows %d, f2_flushes_total %v → %v",
+				got.Dataset.PendingRows, flushesBefore, flushes)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 	logs := buf.String()
 	found := false
@@ -227,4 +257,23 @@ func TestClientDisconnectIs499(t *testing.T) {
 	if !found {
 		t.Fatalf("no request log record with status 499 in:\n%s", logs)
 	}
+}
+
+// flushesTotal sums f2_flushes_total over its mode labels; 0 before the
+// first flush, when the family renders no samples.
+func flushesTotal(t *testing.T, base string) float64 {
+	t.Helper()
+	_, body := doJSON(t, http.MethodGet, base+"/metrics", nil)
+	total := 0.0
+	for _, line := range strings.Split(string(body), "\n") {
+		if !strings.HasPrefix(line, "f2_flushes_total{") {
+			continue
+		}
+		f, err := strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64)
+		if err != nil {
+			t.Fatalf("unparsable sample %q", line)
+		}
+		total += f
+	}
+	return total
 }

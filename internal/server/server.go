@@ -78,7 +78,7 @@ type Options struct {
 	// RuntimeHistory bounds the in-memory runtime-sample ring behind
 	// GET /v1/debug/runtime. Default 360 (30 minutes at the 5s default).
 	RuntimeHistory int
-	// FlushStallAfter is the watchdog deadline for background flushes: a
+	// FlushStallAfter is the watchdog deadline for flush jobs: a
 	// flush running longer is captured as an incident. 0 means the
 	// default 2m; negative disables flush-stall detection.
 	FlushStallAfter time.Duration
@@ -196,14 +196,14 @@ type Server struct {
 	watchdogStop chan struct{}
 	watchdogDone chan struct{}
 
-	// flushTrack holds every background flush currently running, for the
+	// flushTrack holds every flush job currently running, for the
 	// watchdog and the "flush" health component. Guarded by flushMu —
 	// its own leaf lock, never taken with ds.mu held.
 	flushMu    sync.Mutex
 	flushTrack map[*flushJob]flushInfo
 
 	// testFlushHook, when set (tests only, before any request), runs at
-	// the start of every background flush job — a fault-injection point
+	// the start of every flush job — a fault-injection point
 	// for simulating a hung flush.
 	testFlushHook func()
 

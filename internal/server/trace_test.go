@@ -58,6 +58,34 @@ func TestTraceAPIEndToEnd(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("flush: status %d, body %s", resp.StatusCode, body)
 	}
+	var flushed struct {
+		FlushJobID string `json:"flushJobId"`
+	}
+	if err := json.Unmarshal(body, &flushed); err != nil || flushed.FlushJobID == "" {
+		t.Fatalf("flush?wait=1 answer carries no flushJobId: %s", body)
+	}
+
+	// The flush ran as a job; its span tree is the trace with the job's id,
+	// retained by the time the ?wait=1 answer arrives.
+	resp, body = doJSON(t, http.MethodGet, ts.URL+"/v1/debug/traces/"+flushed.FlushJobID, nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("flush job trace: status %d, body %s", resp.StatusCode, body)
+	}
+	var jobTr traceJSON
+	if err := json.Unmarshal(body, &jobTr); err != nil {
+		t.Fatal(err)
+	}
+	if jobTr.ID != flushed.FlushJobID || jobTr.Root.Name != "flush_background" || !jobTr.Complete {
+		t.Fatalf("flush job trace = %s/%s complete=%v, want %s/flush_background complete",
+			jobTr.ID, jobTr.Root.Name, jobTr.Complete, flushed.FlushJobID)
+	}
+	jobSpans := map[string]float64{}
+	spanNames(jobTr.Root, jobSpans)
+	for _, stage := range []string{"job.queue", "job.run", "update.flush", "snapshot.save", "snapshot.compact-wal"} {
+		if _, ok := jobSpans[stage]; !ok {
+			t.Errorf("flush job trace has no span %q; spans %v", stage, keys(jobSpans))
+		}
+	}
 
 	resp, body = doJSON(t, http.MethodGet, ts.URL+"/v1/debug/traces", nil)
 	if resp.StatusCode != http.StatusOK {
