@@ -51,8 +51,8 @@ func mustEncrypt(b *testing.B, tbl *relation.Table, cfg core.Config) *core.Resul
 }
 
 // BenchmarkEncrypt measures the parallel encryption engine against the
-// serial pipeline on the same table: parallelism=1 is the historical
-// serial path, parallelism=0 resolves to GOMAXPROCS. The outputs are
+// one-worker pipeline on the same table: parallelism=1 runs every stage
+// on one worker, parallelism=0 resolves to GOMAXPROCS. The outputs are
 // byte-identical (enforced by TestParallelEncryptEquivalence in
 // internal/core); only the wall clock may differ. Run with
 // `go test -bench=BenchmarkEncrypt -benchtime=3x .` on a multi-core

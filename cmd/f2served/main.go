@@ -7,8 +7,8 @@
 //
 // -workers bounds how many pipeline jobs run concurrently across
 // datasets; -parallelism sets how many goroutines each single run fans
-// out across (0 = GOMAXPROCS, 1 = the serial pipeline; the ciphertext
-// is identical at every setting).
+// out across (0 = GOMAXPROCS, 1 = one worker; the ciphertext is
+// identical at every setting). Both run on internal/pool.
 //
 // With -data-dir set, datasets are durable: appends are journaled to a
 // per-dataset WAL before they are acknowledged, flushes snapshot the
@@ -54,7 +54,7 @@ func main() {
 	var (
 		addr        = flag.String("addr", ":8089", "listen address")
 		workers     = flag.Int("workers", 0, "pipeline worker pool size (default: GOMAXPROCS)")
-		parallelism = flag.Int("parallelism", 0, "workers per pipeline run (0: GOMAXPROCS, 1: serial); output is identical at every setting")
+		parallelism = flag.Int("parallelism", 0, "workers per pipeline run (0: GOMAXPROCS, 1: one worker); output is identical at every setting")
 		maxBody     = flag.Int64("max-body", 32<<20, "maximum request body bytes")
 		maxPending  = flag.Int64("max-pending", 0, "per-dataset ingest queue bound in bytes before appends get 429 (0: 64 MiB default, negative: unlimited)")
 		trials      = flag.Int("trials", 1000, "default attack-game trials for /report")

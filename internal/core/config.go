@@ -99,9 +99,9 @@ type Config struct {
 	// Parallelism bounds the worker goroutines the parallel encryption
 	// engine fans out across: per-MAS plan construction, instance-cipher
 	// filling, sharded row emission, the Step-4 border searches, and
-	// table decryption. 0 (the default) means GOMAXPROCS; 1 runs the
-	// historical serial pipeline. The ciphertext is byte-identical at
-	// every setting — parallelism is a throughput knob, never a
+	// table decryption. 0 (the default) means GOMAXPROCS; 1 runs every
+	// stage on one worker. The ciphertext is byte-identical at every
+	// setting — parallelism is a throughput knob, never a
 	// correctness or security one.
 	Parallelism int
 }

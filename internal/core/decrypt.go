@@ -64,16 +64,13 @@ func (d *Decryptor) DecryptTable(ctx context.Context, t *relation.Table) (*relat
 		}
 		return nil
 	}
-	if workers := d.cfg.Workers(); workers > 1 && n > 1 {
-		pl := pool.New(workers)
-		defer pl.Close()
-		ranges := chunkRanges(n, workers*4)
-		if err := pl.ForEach(ctx, len(ranges), func(ctx context.Context, si int) error {
-			return decryptRange(ctx, ranges[si][0], ranges[si][1])
-		}); err != nil {
-			return nil, err
-		}
-	} else if err := decryptRange(ctx, 0, n); err != nil {
+	workers := d.cfg.Workers()
+	pl := pool.New(workers)
+	defer pl.Close()
+	ranges := chunkRanges(n, workers*4)
+	if err := pl.ForEach(ctx, len(ranges), func(ctx context.Context, si int) error {
+		return decryptRange(ctx, ranges[si][0], ranges[si][1])
+	}); err != nil {
 		return nil, err
 	}
 	out := relation.NewTable(t.Schema().Clone())

@@ -13,7 +13,7 @@ import (
 )
 
 // parallelWidths are the engine widths the equivalence properties range
-// over: 1 is the serial pipeline, 2 and 8 exercise the sharded emitters
+// over: 1 runs on one worker, 2 and 8 exercise the sharded emitters
 // with fewer and more shards than typical worker counts.
 var parallelWidths = []int{1, 2, 8}
 

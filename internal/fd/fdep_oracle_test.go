@@ -4,8 +4,9 @@ import (
 	"f2/internal/relation"
 )
 
-// FDEP implements the dependency-induction algorithm of Flach & Savnik
-// (bottom-up variant): compute the *negative cover* — for every pair of
+// FDEP is the test oracle for Discover, kept in test code because nothing
+// else calls it. It implements the dependency-induction algorithm of
+// Flach & Savnik (bottom-up variant): compute the *negative cover* — for every pair of
 // rows, the agreement set A(r1,r2) witnesses that A→B is violated for all
 // B outside it — then specialize the positive cover against every
 // violation. It is a completely independent route to the minimal FDs from

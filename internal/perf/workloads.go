@@ -51,7 +51,7 @@ func DefaultWorkloads() *Registry {
 		encryptWorkload("encrypt/full", -1,
 			"full F² encryption of a synthetic table (pipeline width from -parallelism)"),
 		encryptWorkload("encrypt/parallel-1", 1,
-			"full encryption pinned to the serial pipeline (width 1)"),
+			"full encryption pinned to one worker (width 1)"),
 		encryptWorkload("encrypt/parallel-max", 0,
 			"full encryption fanned across GOMAXPROCS workers"),
 		incrementalWorkload("incremental/append-16", 16,

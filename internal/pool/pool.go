@@ -1,21 +1,21 @@
-// Package pool provides the bounded worker pool behind every parallel
-// stage of the F² pipeline: instance-cipher filling, sharded row
-// emission, false-positive border searches, and table decryption all fan
-// out through a Pool instead of spawning unbounded goroutines.
+// Package pool provides the one bounded worker pool of the tree. Every
+// parallel stage of the F² pipeline (instance-cipher filling, sharded row
+// emission, false-positive border searches, table decryption) fans out
+// through a Pool instead of spawning unbounded goroutines, and f2served
+// runs its pipeline jobs (create, flush, decrypt, FD discovery, report)
+// on one.
 //
-// The pool mirrors the job-execution pattern of internal/server: a fixed
-// set of worker goroutines, context cancellation honored both while a
-// task waits for a worker and between tasks of a batch, and panic
-// recovery that converts a crashing task into an error for the submitter
-// (so one poisoned shard cannot take down a whole service process).
+// A Pool is a fixed set of worker goroutines. Context cancellation is
+// honored both while a task waits for a worker and between tasks of a
+// batch, and a panicking task becomes a *PanicError for its submitter,
+// so one poisoned shard cannot take down a whole service process.
 //
 // Invariants:
 //
 //   - at most Workers tasks execute concurrently, no matter how many
 //     Run/ForEach calls are in flight;
-//   - a Pool with one worker executes ForEach bodies inline on the
-//     calling goroutine, in index order — the serial pipeline is
-//     literally the parallel pipeline at width 1;
+//   - a Pool with one worker runs a ForEach batch on that worker in
+//     index order;
 //   - ForEach never returns before every started task has finished, so
 //     callers may hand tasks shared, shard-partitioned state without
 //     further synchronization.
@@ -33,6 +33,16 @@ import (
 // ErrClosed is returned by Run and ForEach once Close has been called.
 var ErrClosed = errors.New("pool: closed")
 
+// PanicError is what a panicking task returns. Error carries only the
+// panic value, so the error is safe to show a client; Stack holds the
+// panicking goroutine's stack for the operator's log.
+type PanicError struct {
+	Value any
+	Stack []byte
+}
+
+func (e *PanicError) Error() string { return fmt.Sprintf("pool: task panic: %v", e.Value) }
+
 // Task is one unit of work executed on a pool worker.
 type Task func(ctx context.Context) error
 
@@ -42,6 +52,8 @@ type Pool struct {
 	quit    chan struct{}
 	wg      sync.WaitGroup
 	workers int
+	queued  atomic.Int64
+	active  atomic.Int64
 }
 
 type job struct {
@@ -50,26 +62,27 @@ type job struct {
 	done chan error
 }
 
-// New starts a pool with the given number of workers (minimum 1). A
-// one-worker pool spawns no goroutines at all: work runs inline on the
-// submitting goroutine.
+// New starts a pool with the given number of workers (minimum 1).
 func New(workers int) *Pool {
 	if workers < 1 {
 		workers = 1
 	}
-	p := &Pool{quit: make(chan struct{}), workers: workers}
-	if workers > 1 {
-		p.jobs = make(chan job)
-		p.wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go p.worker()
-		}
+	p := &Pool{jobs: make(chan job), quit: make(chan struct{}), workers: workers}
+	p.wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go p.worker()
 	}
 	return p
 }
 
 // Workers returns the configured worker count.
 func (p *Pool) Workers() int { return p.workers }
+
+// Stats reports the configured workers, the tasks currently executing,
+// and the tasks waiting for a worker.
+func (p *Pool) Stats() (workers int, active, queued int64) {
+	return p.workers, p.active.Load(), p.queued.Load()
+}
 
 func (p *Pool) worker() {
 	defer p.wg.Done()
@@ -78,35 +91,27 @@ func (p *Pool) worker() {
 		case <-p.quit:
 			return
 		case j := <-p.jobs:
+			p.queued.Add(-1)
 			if err := j.ctx.Err(); err != nil {
 				j.done <- err // abandoned while queued
 				continue
 			}
-			j.done <- protect(j.ctx, j.fn)
+			p.active.Add(1)
+			err := protect(j.ctx, j.fn)
+			p.active.Add(-1)
+			j.done <- err
 		}
 	}
 }
 
-// protect executes one task, converting a panic into an error carrying
-// the panic value (the stack is attached so the failure is debuggable
-// from the error alone — the pool has no logger of its own).
+// protect executes one task, converting a panic into a *PanicError.
 func protect(ctx context.Context, fn Task) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("pool: task panic: %v\n%s", r, debug.Stack())
+			err = &PanicError{Value: r, Stack: debug.Stack()}
 		}
 	}()
 	return fn(ctx)
-}
-
-// closed reports whether Close has been called.
-func (p *Pool) closed() bool {
-	select {
-	case <-p.quit:
-		return true
-	default:
-		return false
-	}
 }
 
 // Run executes fn on a pool worker and blocks until it finishes,
@@ -114,21 +119,15 @@ func (p *Pool) closed() bool {
 // abandons it; once running, cancellation is fn's responsibility. After
 // Close, Run returns ErrClosed.
 func (p *Pool) Run(ctx context.Context, fn Task) error {
-	if p.workers == 1 {
-		if p.closed() {
-			return ErrClosed
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		return protect(ctx, fn)
-	}
 	j := job{ctx: ctx, fn: fn, done: make(chan error, 1)}
+	p.queued.Add(1)
 	select {
 	case p.jobs <- j:
 	case <-ctx.Done():
+		p.queued.Add(-1)
 		return ctx.Err()
 	case <-p.quit:
+		p.queued.Add(-1)
 		return ErrClosed
 	}
 	return <-j.done
@@ -136,7 +135,7 @@ func (p *Pool) Run(ctx context.Context, fn Task) error {
 
 // ForEach runs fn(ctx, i) for every i in [0, n), spreading the calls
 // across the pool's workers, and returns after all started calls have
-// finished. On a one-worker pool the calls run inline, in index order.
+// finished.
 //
 // Indices are claimed dynamically (an atomic counter, not static
 // striping), so uneven task costs still balance. The first error —
@@ -148,58 +147,37 @@ func (p *Pool) ForEach(ctx context.Context, n int, fn func(ctx context.Context, 
 	if n <= 0 {
 		return ctx.Err()
 	}
-	if p.workers == 1 {
-		if p.closed() {
-			return ErrClosed
-		}
-		for i := 0; i < n; i++ {
+	var next atomic.Int64
+	var stop atomic.Bool
+	claim := func(ctx context.Context) error {
+		for !stop.Load() {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return nil
+			}
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			i := i
-			if err := protect(ctx, func(ctx context.Context) error { return fn(ctx, i) }); err != nil {
+			if err := fn(ctx, i); err != nil {
+				stop.Store(true)
 				return err
 			}
 		}
 		return nil
 	}
-	// A single task on a multi-worker pool still occupies a worker slot:
-	// the "at most Workers tasks execute concurrently" bound must hold
-	// even when several ForEach batches share one pool.
-	if n == 1 {
-		return p.Run(ctx, func(ctx context.Context) error { return fn(ctx, 0) })
-	}
-	w := p.workers
-	if w > n {
-		w = n
-	}
-
-	var next atomic.Int64
-	var stop atomic.Bool
-	errs := make([]error, w)
+	// One claiming task per worker, each submitted through Run so that
+	// concurrent batches sharing the pool respect its bound. The calling
+	// goroutine submits the first itself.
+	errs := make([]error, min(p.workers, n))
 	var wg sync.WaitGroup
-	for r := 0; r < w; r++ {
+	for r := 1; r < len(errs); r++ {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			errs[r] = p.Run(ctx, func(ctx context.Context) error {
-				for !stop.Load() {
-					i := int(next.Add(1)) - 1
-					if i >= n {
-						return nil
-					}
-					if err := ctx.Err(); err != nil {
-						return err
-					}
-					if err := fn(ctx, i); err != nil {
-						stop.Store(true)
-						return err
-					}
-				}
-				return nil
-			})
+			errs[r] = p.Run(ctx, claim)
 		}(r)
 	}
+	errs[0] = p.Run(ctx, claim)
 	wg.Wait()
 	// Prefer a task's own failure over a bare cancellation error: the
 	// former explains the latter.

@@ -131,7 +131,7 @@ func TestSerialForEachRunsInOrder(t *testing.T) {
 	defer p.Close()
 	var order []int
 	if err := p.ForEach(context.Background(), 32, func(ctx context.Context, i int) error {
-		order = append(order, i) // safe: one worker runs inline
+		order = append(order, i) // safe: one worker runs every index
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -143,36 +143,146 @@ func TestSerialForEachRunsInOrder(t *testing.T) {
 	}
 }
 
-func TestSingleTaskBatchOccupiesWorker(t *testing.T) {
-	// A ForEach of one task on a multi-worker pool must still go through
-	// a worker slot, so concurrent batches respect the pool bound.
-	p := New(2)
-	defer p.Close()
-	var active, peak atomic.Int32
-	track := func() {
-		a := active.Add(1)
-		for {
-			cur := peak.Load()
-			if a <= cur || peak.CompareAndSwap(cur, a) {
-				break
-			}
+// peakTracker records the largest number of tasks seen running at once.
+type peakTracker struct{ active, peak atomic.Int32 }
+
+func (pt *peakTracker) track() {
+	a := pt.active.Add(1)
+	for {
+		cur := pt.peak.Load()
+		if a <= cur || pt.peak.CompareAndSwap(cur, a) {
+			break
 		}
-		time.Sleep(2 * time.Millisecond)
-		active.Add(-1)
 	}
-	var wg sync.WaitGroup
-	for b := 0; b < 4; b++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
+	time.Sleep(2 * time.Millisecond)
+	pt.active.Add(-1)
+}
+
+func TestSingleTaskBatchOccupiesWorker(t *testing.T) {
+	// A ForEach of one task, or a Run, must go through a worker slot, so
+	// concurrent callers sharing a pool respect its bound at every width.
+	submit := map[string]func(p *Pool, pt *peakTracker){
+		"ForEach": func(p *Pool, pt *peakTracker) {
 			_ = p.ForEach(context.Background(), 1, func(ctx context.Context, i int) error {
-				track()
+				pt.track()
 				return nil
 			})
-		}()
+		},
+		"Run": func(p *Pool, pt *peakTracker) {
+			_ = p.Run(context.Background(), func(ctx context.Context) error {
+				pt.track()
+				return nil
+			})
+		},
+	}
+	for name, call := range submit {
+		for _, workers := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(t *testing.T) {
+				p := New(workers)
+				defer p.Close()
+				var pt peakTracker
+				var wg sync.WaitGroup
+				for c := 0; c < 4; c++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						call(p, &pt)
+					}()
+				}
+				wg.Wait()
+				if got := pt.peak.Load(); got > int32(workers) {
+					t.Fatalf("4 concurrent callers peaked at %d running tasks on a %d-worker pool", got, workers)
+				}
+			})
+		}
+	}
+}
+
+// TestPoolRunsJobsInParallel proves the pool genuinely overlaps tasks:
+// two tasks rendezvous with each other, which can only succeed if both
+// execute at the same time.
+func TestPoolRunsJobsInParallel(t *testing.T) {
+	p := New(2)
+	defer p.Close()
+	barrier := make(chan struct{})
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = p.Run(t.Context(), func(ctx context.Context) error {
+				select {
+				case barrier <- struct{}{}: // partner arrived second
+				case <-barrier: // partner arrived first
+				case <-time.After(10 * time.Second):
+					return fmt.Errorf("task %d: partner never arrived — tasks serialized", i)
+				}
+				return nil
+			})
+		}(i)
 	}
 	wg.Wait()
-	if got := peak.Load(); got > 2 {
-		t.Fatalf("%d single-task batches ran concurrently on a 2-worker pool", got)
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("task %d: %v", i, err)
+		}
+	}
+}
+
+// TestPoolRecoversJobPanic checks a panicking Run surfaces as an error and
+// leaves the worker alive for the next task.
+func TestPoolRecoversJobPanic(t *testing.T) {
+	p := New(1)
+	defer p.Close()
+	err := p.Run(context.Background(), func(ctx context.Context) error { panic("boom") })
+	if err == nil || !strings.Contains(err.Error(), "boom") {
+		t.Fatalf("panicking task returned %v, want wrapped panic", err)
+	}
+	if err := p.Run(context.Background(), func(ctx context.Context) error { return nil }); err != nil {
+		t.Fatalf("pool dead after panic: %v", err)
+	}
+}
+
+// TestPoolRunAfterClose checks that a closed single-worker pool, the
+// width the server uses for its pipeline jobs, refuses new work with
+// ErrClosed instead of blocking.
+func TestPoolRunAfterClose(t *testing.T) {
+	p := New(1)
+	p.Close()
+	err := p.Run(context.Background(), func(ctx context.Context) error { return nil })
+	if !errors.Is(err, ErrClosed) {
+		t.Fatalf("Run after Close = %v, want ErrClosed", err)
+	}
+}
+
+// TestPanicErrorOmitsStack checks that a panic's error message carries the
+// panic value but not the goroutine stack (the message reaches clients),
+// while the stack stays reachable through *PanicError.
+func TestPanicErrorOmitsStack(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		p := New(workers)
+		defer p.Close()
+		errs := map[string]error{
+			"Run": p.Run(context.Background(), func(ctx context.Context) error { panic("kaboom") }),
+			"ForEach": p.ForEach(context.Background(), 8, func(ctx context.Context, i int) error {
+				if i == 3 {
+					panic("kaboom")
+				}
+				return nil
+			}),
+		}
+		for name, err := range errs {
+			if err == nil || !strings.Contains(err.Error(), "kaboom") {
+				t.Fatalf("workers=%d %s: got %v, want the panic value", workers, name, err)
+			}
+			if strings.Contains(err.Error(), "goroutine ") {
+				t.Fatalf("workers=%d %s: error message carries a stack: %q", workers, name, err)
+			}
+			var pe *PanicError
+			if !errors.As(err, &pe) || len(pe.Stack) == 0 {
+				t.Fatalf("workers=%d %s: want a *PanicError with a stack, got %#v", workers, name, err)
+			}
+		}
 	}
 }

@@ -163,7 +163,7 @@ func (s *Server) runBackgroundFlush(ds *Dataset, job *flushJob) {
 			return plan.Run(jc)
 		}
 	}
-	if err := s.pool.Run(ctx, run); err != nil {
+	if err := s.runJob(ctx, run); err != nil {
 		ds.Lock()
 		ds.upd.AbortFlush(plan)
 		ds.Unlock()

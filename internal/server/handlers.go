@@ -175,7 +175,7 @@ func (s *Server) handleCreateDataset(w http.ResponseWriter, r *http.Request) {
 	var res *core.Result
 	jobCtx, cancel := s.jobContext(r.Context())
 	defer cancel()
-	err = s.pool.Run(jobCtx, func(ctx context.Context) error {
+	err = s.runJob(jobCtx, func(ctx context.Context) error {
 		var err error
 		upd, res, err = core.NewUpdater(ctx, cfg, tbl)
 		return err
@@ -472,7 +472,7 @@ func (s *Server) handleDecrypt(w http.ResponseWriter, r *http.Request) {
 	var recovered *relation.JSONTable
 	jobCtx, cancel := s.jobContext(r.Context())
 	defer cancel()
-	err := s.pool.Run(jobCtx, func(ctx context.Context) error {
+	err := s.runJob(jobCtx, func(ctx context.Context) error {
 		dec, err := core.NewDecryptor(ds.cfg)
 		if err != nil {
 			return err
@@ -520,7 +520,7 @@ func (s *Server) handleFDs(w http.ResponseWriter, r *http.Request) {
 	fds := []fdJSON{}
 	jobCtx, cancel := s.jobContext(r.Context())
 	defer cancel()
-	err := s.pool.Run(jobCtx, func(ctx context.Context) error {
+	err := s.runJob(jobCtx, func(ctx context.Context) error {
 		sch := enc.Schema()
 		claimed, err := fd.DiscoverWitnessedCtx(ctx, enc)
 		if err != nil {
@@ -598,7 +598,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	var payload map[string]any
 	jobCtx, cancel := s.jobContext(r.Context())
 	defer cancel()
-	err := s.pool.Run(jobCtx, func(ctx context.Context) error {
+	err := s.runJob(jobCtx, func(ctx context.Context) error {
 		cipher, err := crypt.NewProbCipher(ds.cfg.Key, ds.cfg.PRF)
 		if err != nil {
 			return err

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"f2/internal/obs"
+	"f2/internal/pool"
 )
 
 // statusRecorder captures the status code a handler writes — and whether
@@ -192,7 +193,7 @@ func (s *Server) errStatus(r *http.Request, err error) int {
 		return http.StatusServiceUnavailable
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusRequestTimeout
-	case errors.Is(err, ErrPoolClosed):
+	case errors.Is(err, pool.ErrClosed):
 		return http.StatusServiceUnavailable
 	}
 	return http.StatusInternalServerError
@@ -204,7 +205,7 @@ func httpStatusOf(err error) int {
 	switch {
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		return http.StatusRequestTimeout
-	case errors.Is(err, ErrPoolClosed):
+	case errors.Is(err, pool.ErrClosed):
 		return http.StatusServiceUnavailable
 	}
 	return http.StatusInternalServerError

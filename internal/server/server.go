@@ -17,6 +17,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -27,6 +28,7 @@ import (
 
 	"f2/internal/core"
 	"f2/internal/obs"
+	"f2/internal/pool"
 	"f2/internal/store"
 )
 
@@ -49,8 +51,8 @@ type Options struct {
 	VerifyProbes int
 	// Parallelism is the default core.Config.Parallelism for new
 	// datasets: how many workers one pipeline run (encrypt, flush,
-	// decrypt) fans out across. 0 means GOMAXPROCS, 1 forces the serial
-	// pipeline. Together with Workers it bounds total pipeline
+	// decrypt) fans out across. 0 means GOMAXPROCS, 1 means one worker.
+	// Together with Workers it bounds total pipeline
 	// concurrency at Workers × Parallelism goroutines. Per-dataset
 	// overrides arrive via the create request's "parallelism" field.
 	Parallelism int
@@ -160,7 +162,7 @@ func (o *Options) fillDefaults() {
 type Server struct {
 	opts    Options
 	reg     *Registry
-	pool    *Pool
+	pool    *pool.Pool
 	metrics *Metrics
 	traces  *obs.Ring
 	mux     *http.ServeMux
@@ -239,7 +241,7 @@ func New(opts Options) (*Server, error) {
 		stop()
 		return nil, err
 	}
-	s.pool = NewPool(opts.Workers, s.logf)
+	s.pool = pool.New(opts.Workers)
 	if err := s.initFlightRecorder(); err != nil {
 		stop()
 		s.pool.Close()
@@ -449,6 +451,26 @@ func (s *Server) jobContext(req context.Context) (context.Context, context.Cance
 	ctx, cancel := context.WithCancel(req)
 	unhook := context.AfterFunc(s.lifecycle, cancel)
 	return ctx, func() { unhook(); cancel() }
+}
+
+// runJob runs fn on the worker pool. The job's queue time is recorded as
+// an already-measured job.queue span; its run time is a live job.run span
+// the pipeline's own spans nest under. A panicking job's stack goes to the
+// log only: the returned error, which handlers show clients, carries just
+// the panic value.
+func (s *Server) runJob(ctx context.Context, fn pool.Task) error {
+	enq := time.Now()
+	err := s.pool.Run(ctx, func(ctx context.Context) error {
+		obs.Record(ctx, "job.queue", time.Since(enq))
+		ctx, sp := obs.Start(ctx, "job.run")
+		defer sp.End()
+		return fn(ctx)
+	})
+	var pe *pool.PanicError
+	if errors.As(err, &pe) {
+		s.logf("job panic: %v\n%s", pe.Value, pe.Stack)
+	}
+	return err
 }
 
 func (s *Server) logf(format string, args ...any) {

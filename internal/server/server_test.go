@@ -387,38 +387,6 @@ func TestConcurrentAppendsOneDataset(t *testing.T) {
 	_ = columns
 }
 
-// TestPoolRunsJobsInParallel proves the worker pool genuinely overlaps
-// jobs: two jobs rendezvous with each other, which can only succeed if
-// both execute at the same time.
-func TestPoolRunsJobsInParallel(t *testing.T) {
-	pool := NewPool(2, nil)
-	defer pool.Close()
-	barrier := make(chan struct{})
-	var wg sync.WaitGroup
-	errs := make([]error, 2)
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = pool.Run(t.Context(), func(ctx context.Context) error {
-				select {
-				case barrier <- struct{}{}: // partner arrived second
-				case <-barrier: // partner arrived first
-				case <-time.After(10 * time.Second):
-					return fmt.Errorf("job %d: partner never arrived — jobs serialized", i)
-				}
-				return nil
-			})
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("job %d: %v", i, err)
-		}
-	}
-}
-
 // TestConcurrentEncryptsRunInParallel starts two encrypt requests for
 // different datasets and watches the pool gauge reach two simultaneously
 // active jobs: the requests genuinely overlap on the worker pool.
@@ -656,17 +624,6 @@ func TestUpdateModeValidation(t *testing.T) {
 	}
 }
 
-// TestPoolRunAfterClose checks Run degrades to ErrPoolClosed instead of
-// panicking once the pool is gone.
-func TestPoolRunAfterClose(t *testing.T) {
-	pool := NewPool(1, nil)
-	pool.Close()
-	err := pool.Run(context.Background(), func(ctx context.Context) error { return nil })
-	if !errors.Is(err, ErrPoolClosed) {
-		t.Fatalf("Run after Close = %v, want ErrPoolClosed", err)
-	}
-}
-
 // TestCloseCancelsInFlightJobs checks that Server.Close aborts a running
 // pipeline job via the lifecycle context instead of waiting it out.
 func TestCloseCancelsInFlightJobs(t *testing.T) {
@@ -700,20 +657,6 @@ func TestCloseCancelsInFlightJobs(t *testing.T) {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("Close did not return after job cancellation")
-	}
-}
-
-// TestPoolRecoversJobPanic checks a panicking job surfaces as an error
-// and leaves the worker alive for the next job.
-func TestPoolRecoversJobPanic(t *testing.T) {
-	pool := NewPool(1, nil)
-	defer pool.Close()
-	err := pool.Run(context.Background(), func(ctx context.Context) error { panic("boom") })
-	if err == nil || !strings.Contains(err.Error(), "boom") {
-		t.Fatalf("panicking job returned %v, want wrapped panic", err)
-	}
-	if err := pool.Run(context.Background(), func(ctx context.Context) error { return nil }); err != nil {
-		t.Fatalf("pool dead after panic: %v", err)
 	}
 }
 
